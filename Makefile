@@ -6,7 +6,7 @@ CARGO ?= cargo
 # The 13 evaluation binaries, in paper order (extensions last).
 REPRO_BINS := table1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 table2 rb ablations fig_adv
 
-.PHONY: build test bench fleet-bench repro cost-report chain-bench obs-check fmt lint clean
+.PHONY: build test bench fleet-bench repro work-check obs-check fmt lint clean
 
 ## build: release build of every workspace member
 build:
@@ -32,37 +32,26 @@ fleet-bench:
 	@cat loadgen.w1.out
 	@rm -f loadgen.w1.out loadgen.wauto.out
 
-## cost-report: cost model vs measured wall-clock (the CI gate). With
-## `--cost-report` the obs layer reprices each phase from observed
-## counters (memoized trials at lookup cost), so the gated ratio is
-## observed/measured: fig8 N=8 stays in [0.25, 4.0]; table2 — whose
-## static walk prediction historically over-counted ~3x — must now land
-## in the tighter [0.25, 2.0]
-cost-report:
+## work-check: the logical work of three runs, pinned exactly — fig8
+## N=8 (joint-table sampler), fig8 N=64 (chain sampler) and table2 (exact
+## oracle, score memo, decoder). Each run's "deterministic" metrics line
+## (tables built, shots drawn, memo lookups, tests run, ...) must equal
+## its pin in tests/work_pins/. The pins were captured at --threads=1, so
+## running at --threads=8 checks thread invariance too. Wall-clock
+## regressions are the benchmark's job (perfbench/). After an intended
+## change of work, copy the new work.*.det files over the pins and
+## justify the diff.
+WORK_RUNS := fig8_n8:fig8:--sizes=8 fig8_n64:fig8:--sizes=64 table2:table2:
+work-check:
 	$(CARGO) build --release -p itqc-bench --bin fig8 --bin table2
-	./target/release/fig8 --sizes=8 --cost-report >/dev/null 2>cost-report.err
-	@cat cost-report.err
-	@awk '/^cost-report fig8:/ { r = $$NF + 0; found = 1; \
-		if (r < 0.25 || r > 4.0) { print "cost-model ratio " r " outside [0.25, 4.0]"; exit 1 } } \
-		END { if (!found) { print "no cost-report line on stderr"; exit 1 } }' cost-report.err
-	./target/release/table2 --cost-report >/dev/null 2>cost-report.err
-	@cat cost-report.err
-	@awk '/^cost-report table2:/ { r = $$NF + 0; found = 1; \
-		if (r < 0.25 || r > 2.0) { print "table2 cost-model ratio " r " outside [0.25, 2.0]"; exit 1 } } \
-		END { if (!found) { print "no cost-report line on stderr"; exit 1 } }' cost-report.err
-	@rm -f cost-report.err
-
-## chain-bench: chain-sampler cost gate — the fig8 N=64 panel runs on
-## 32-qubit chain-sampled components (beyond the joint-table cap); the
-## chain cost terms' predicted/measured ratio must stay in [0.25, 4.0]
-chain-bench:
-	$(CARGO) build --release -p itqc-bench --bin fig8
-	./target/release/fig8 --sizes=64 --cost-report >/dev/null 2>chain-bench.err
-	@cat chain-bench.err
-	@awk '/^cost-report fig8:/ { r = $$NF + 0; found = 1; \
-		if (r < 0.25 || r > 4.0) { print "chain cost-model ratio " r " outside [0.25, 4.0]"; exit 1 } } \
-		END { if (!found) { print "no cost-report line on stderr"; exit 1 } }' chain-bench.err
-	@rm -f chain-bench.err
+	@set -e; for run in $(WORK_RUNS); do \
+		pin=$${run%%:*}; rest=$${run#*:}; bin=$${rest%%:*}; flags=$${rest#*:}; \
+		./target/release/$$bin --fast $$flags --threads=8 --metrics=work.$$pin.json >/dev/null; \
+		grep '"deterministic"' work.$$pin.json > work.$$pin.det; \
+		diff tests/work_pins/$$pin.det work.$$pin.det; \
+		echo "work-check $$pin: deterministic work matches its pin"; \
+		rm -f work.$$pin.json work.$$pin.det; \
+	done
 
 ## obs-check: the observability contract, binary level — (1) the fig8
 ## deterministic metrics snapshot is bit-identical at 1 vs 8 threads and

@@ -176,7 +176,7 @@ thread_local! {
 
 /// Hit/miss/eviction counters of this thread's component-distribution
 /// cache since thread start — the denominator of the batch
-/// amortisation's observability (and of `--cost-report`'s prep count).
+/// amortisation's observability.
 pub fn component_cache_stats() -> CacheCounters {
     COMPONENT_CACHE.with(|c| c.borrow().counters())
 }
@@ -340,13 +340,6 @@ impl XxPrepared {
             .iter()
             .map(|(sub, mask)| {
                 cache.get_or_build(xx_key(sub), || {
-                    // Built (not cache-served) component tables, by
-                    // size: the prep phase of the observed cost report.
-                    itqc_obs::event::observe_nd(
-                        "backend.prep.component_qubits",
-                        mask.count_ones() as u64,
-                        1,
-                    );
                     if mask.count_ones() as usize <= MAX_COMPONENT {
                         ComponentSampler::Joint(component_distribution(sub))
                     } else {

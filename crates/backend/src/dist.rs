@@ -133,9 +133,9 @@ impl SampleComponent for ComponentDist {
 /// Records the deterministic sampling events of one sampler call.
 /// Shots drawn and components touched are *logical work* — the same at
 /// any thread count — so they belong to the deterministic snapshot; the
-/// per-component draw histogram drives the observed per-phase cost
-/// report. One call per public sampler entry point (the blocked
-/// delegator does not double-count).
+/// per-component draw histogram splits the shots by component size.
+/// One call per public sampler entry point (the blocked delegator does
+/// not double-count).
 fn record_sample_events<S: SampleComponent>(dists: &[S], shots: usize) {
     if !itqc_obs::enabled() {
         return;

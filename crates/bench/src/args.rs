@@ -14,7 +14,7 @@ pub enum MetricsSink {
 }
 
 /// Common harness options:
-/// `--trials=N  --seed=S  --threads=N|auto  --decoder=P  --backend=B  --csv  --fast  --cost-report  --metrics[=PATH]`.
+/// `--trials=N  --seed=S  --threads=N|auto  --decoder=P  --backend=B  --csv  --fast  --metrics[=PATH]`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Args {
     /// Monte-Carlo trials per configuration.
@@ -39,10 +39,6 @@ pub struct Args {
     pub csv: bool,
     /// Shrink workloads for smoke testing.
     pub fast: bool,
-    /// Print the static cost-model prediction next to the measured
-    /// wall-clock on stderr after the run (stdout stays byte-identical,
-    /// so the determinism diffs are unaffected).
-    pub cost_report: bool,
     /// Emit the end-of-run metrics document (`--metrics` → stderr,
     /// `--metrics=PATH` → sidecar file); also enables the `itqc_obs`
     /// event layer for the run.
@@ -68,7 +64,6 @@ impl Args {
             backend: BackendChoice::Auto,
             csv: false,
             fast: false,
-            cost_report: false,
             metrics: None,
         };
         for arg in args {
@@ -98,8 +93,6 @@ impl Args {
                 out.csv = true;
             } else if arg == "--fast" {
                 out.fast = true;
-            } else if arg == "--cost-report" {
-                out.cost_report = true;
             } else if arg == "--metrics" {
                 out.metrics = Some(MetricsSink::Stderr);
             } else if let Some(path) = arg.strip_prefix("--metrics=") {
@@ -154,16 +147,8 @@ mod tests {
             backend: BackendChoice::Auto,
             csv: false,
             fast: false,
-            cost_report: false,
             metrics: None,
         }
-    }
-
-    #[test]
-    fn cost_report_flag_parses() {
-        let argv = ["--cost-report".to_string()].into_iter();
-        assert!(Args::parse_from(10, argv).cost_report);
-        assert!(!args().cost_report);
     }
 
     #[test]

@@ -28,25 +28,16 @@ fn main() {
     let started = std::time::Instant::now();
     let args = Args::parse(120);
     itqc_bench::metrics::init(&args);
-    let sizes: Vec<usize> = std::env::args()
+    let sizes = match std::env::args()
         .skip(1)
         .find_map(|a| a.strip_prefix("--sizes=").map(str::to_owned))
-        .map(|v| {
-            let parsed: Vec<usize> = v
-                .split(',')
-                .map(|s| {
-                    s.parse().unwrap_or_else(|_| panic!("--sizes: '{s}' is not a machine size"))
-                })
-                .collect();
-            // A silently empty or unmatched selection would print empty
-            // tables and exit 0 — vacuously passing the CI cross-check.
-            assert!(
-                parsed.iter().any(|n| [8, 16, 32, 64, 128].contains(n)),
-                "--sizes={v} selects none of the measured sizes 8,16,32,64,128"
-            );
-            parsed
-        })
-        .unwrap_or_else(|| vec![8, 16, 32]);
+    {
+        Some(v) => parse_sizes(&v).unwrap_or_else(|e| {
+            eprintln!("fig8: {e}");
+            std::process::exit(2);
+        }),
+        None => vec![8, 16, 32],
+    };
     section("Fig. 8: fault contrast and identification vs under-rotation");
     println!("backend: {}  shots/test: {FIG8_SHOTS}", args.backend);
 
@@ -57,7 +48,7 @@ fn main() {
         // 64 and 128 qubits are beyond-paper sizes (chain-sampled
         // components, common-mode ambient — see itqc_bench::ambient);
         // the default selection stays at the paper's panels.
-        for n in [8usize, 16, 32, 64, 128] {
+        for n in MEASURED_SIZES {
             if !sizes.contains(&n) {
                 continue;
             }
@@ -118,9 +109,37 @@ fn main() {
         "expected shape: 4-MS amplifies faults harder than 2-MS (smaller minimum\n\
          detectable under-rotation) and larger machines need larger outliers."
     );
-    if args.cost_report {
-        let prediction = itqc_bench::cost_report::fig8_prediction(&sizes, args.trials, FIG8_SHOTS);
-        itqc_bench::cost_report::emit("fig8", &prediction, started.elapsed());
-    }
     itqc_bench::metrics::emit_if_requested("fig8", &args, started.elapsed());
+}
+
+/// The panel sizes fig8 can measure.
+const MEASURED_SIZES: [usize; 5] = [8, 16, 32, 64, 128];
+
+/// Parses a `--sizes=` value. A selection matching none of the measured
+/// sizes is refused: it would print empty tables and exit 0, vacuously
+/// passing the CI cross-check.
+fn parse_sizes(v: &str) -> Result<Vec<usize>, String> {
+    let parsed = v
+        .split(',')
+        .map(|s| s.parse().map_err(|_| format!("--sizes: '{s}' is not a machine size")))
+        .collect::<Result<Vec<usize>, _>>()?;
+    if parsed.iter().any(|n| MEASURED_SIZES.contains(n)) {
+        Ok(parsed)
+    } else {
+        Err(format!("--sizes={v} selects none of the measured sizes 8,16,32,64,128"))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_sizes;
+
+    #[test]
+    fn sizes_parse_and_refuse_unmeasured_or_malformed_selections() {
+        assert_eq!(parse_sizes("8,16"), Ok(vec![8, 16]));
+        assert_eq!(parse_sizes("3,64"), Ok(vec![3, 64]));
+        assert!(parse_sizes("3").unwrap_err().contains("none of the measured sizes"));
+        assert!(parse_sizes("x").unwrap_err().contains("'x' is not a machine size"));
+        assert!(parse_sizes("8,").is_err());
+    }
 }

@@ -112,9 +112,5 @@ fn main() {
          and set-cover policies go beyond the paper's pipeline by point-testing\n\
          disputed members (targeted) or every implicated coupling (exhaustive)."
     );
-    if args.cost_report {
-        let prediction = itqc_bench::cost_report::table2_prediction(args.trials);
-        itqc_bench::cost_report::emit("table2", &prediction, started.elapsed());
-    }
     itqc_bench::metrics::emit_if_requested("table2", &args, started.elapsed());
 }

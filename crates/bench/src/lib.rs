@@ -25,7 +25,6 @@
 pub mod adversarial;
 pub mod ambient;
 pub mod args;
-pub mod cost_report;
 pub mod coupling_census;
 pub mod detectability;
 pub mod duty_cycle;

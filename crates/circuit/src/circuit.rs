@@ -13,7 +13,6 @@ use std::fmt;
 /// An unordered qubit pair identifying a coupling; stored with the smaller
 /// index first so `{a, b}` and `{b, a}` compare equal.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Coupling {
     lo: usize,
     hi: usize,
@@ -59,7 +58,6 @@ impl fmt::Display for Coupling {
 
 /// One gate application on specific qubits.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Op {
     /// The gate template.
     pub gate: Gate,
@@ -123,7 +121,6 @@ impl Op {
 /// assert_eq!(c.two_qubit_gate_count(), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Circuit {
     n_qubits: usize,
     ops: Vec<Op>,

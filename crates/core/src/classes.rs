@@ -23,7 +23,6 @@ use std::fmt;
 /// The label space of a machine: `n_qubits` physical qubits on
 /// `⌈log₂ n_qubits⌉` index bits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LabelSpace {
     n_qubits: usize,
     n_bits: u32,
@@ -69,7 +68,6 @@ impl LabelSpace {
 
 /// A first-round subcube class `(i, b)`: labels with bit `i` equal to `b`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SubcubeClass {
     /// The tested bit position `i`.
     pub bit: u32,
@@ -142,7 +140,6 @@ pub fn first_round_classes(space: &LabelSpace) -> Vec<SubcubeClass> {
 /// (§V-A's `[i,=]` classes "adapted to the k bits not specified by the
 /// syndrome", Theorem V.10).
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EqualBitsClass {
     /// Lower of the two compared free positions.
     pub pos_lo: u32,

@@ -14,7 +14,6 @@
 
 /// Parameters of the Fig. 10 study. All times in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CostModel {
     /// Preparation + readout per circuit run.
     pub prep_readout: f64,

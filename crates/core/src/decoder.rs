@@ -48,7 +48,6 @@ pub type FailingSet = BTreeSet<(u32, bool)>;
 /// How the multi-fault loop disambiguates equal-magnitude syndrome
 /// collisions (conflicting round-1 results).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DecoderPolicy {
     /// Fig. 5's greedy threshold peel: retry the single-fault protocol at
     /// thresholds placed in the gaps of the observed round-1 scores and

@@ -78,17 +78,6 @@ impl ExactExecutor {
         self
     }
 
-    /// The noisy XX circuit a spec compiles to on this machine.
-    fn noisy_xx(&self, spec: &TestSpec) -> XxCircuit {
-        let mut xx = XxCircuit::new(self.n_qubits);
-        for &(coupling, theta) in &spec.gates {
-            let u = self.faults.get(&coupling).copied().unwrap_or(0.0);
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * (1.0 - u));
-        }
-        xx
-    }
-
     /// The noisy [`Circuit`] a spec compiles to on this machine — every
     /// gate's angle scaled by its coupling's under-rotation. This is
     /// what the simulation backends consume.
@@ -124,7 +113,8 @@ impl ExactExecutor {
     pub fn exact_fidelity(&self, spec: &TestSpec) -> f64 {
         match &self.backend {
             None => {
-                let xx = self.noisy_xx(spec);
+                let xx =
+                    spec.noisy_xx(self.n_qubits, |c| self.faults.get(&c).copied().unwrap_or(0.0));
                 if spec.gates.len() >= SCORE_MEMO_MIN_GATES {
                     cached_score(xx_key(&xx), spec.target, ScoreKind::ExactTarget, || {
                         record_gray_walk(&xx);
@@ -153,16 +143,14 @@ impl ExactExecutor {
     pub fn exact_score(&self, spec: &TestSpec) -> f64 {
         match &self.backend {
             None => {
-                let xx = self.noisy_xx(spec);
+                let xx =
+                    spec.noisy_xx(self.n_qubits, |c| self.faults.get(&c).copied().unwrap_or(0.0));
                 let eval = |xx: &XxCircuit| match spec.score {
                     ScoreMode::ExactTarget => {
                         record_gray_walk(xx);
                         xx.fidelity(spec.target)
                     }
-                    ScoreMode::WorstQubit => {
-                        record_agreement_eval(xx);
-                        xx.min_qubit_agreement(spec.target)
-                    }
+                    ScoreMode::WorstQubit => xx.min_qubit_agreement(spec.target),
                 };
                 if spec.gates.len() >= SCORE_MEMO_MIN_GATES {
                     let kind = match spec.score {
@@ -187,21 +175,13 @@ impl ExactExecutor {
 }
 
 /// Records one actual `2^m` Gray-code walk (an unmemoised ExactTarget
-/// evaluation) into the observed-cost histogram. Which evaluations the
+/// evaluation) by support size; perfbench sums `2^support` over this
+/// histogram for its `executor.walk_terms` layer. Which evaluations the
 /// per-thread score memo absorbs depends on the sharding, so this is
 /// nondeterministic telemetry.
 fn record_gray_walk(xx: &XxCircuit) {
     if itqc_obs::enabled() {
         itqc_obs::event::observe_nd("core.walk.support_qubits", xx.support().len() as u64, 1);
-    }
-}
-
-/// Records one closed-form worst-qubit evaluation (`O(support·gates)`,
-/// no exponential walk) — priced separately from Gray walks by the
-/// observed cost report.
-fn record_agreement_eval(xx: &XxCircuit) {
-    if itqc_obs::enabled() {
-        itqc_obs::event::observe_nd("core.agreement.support_qubits", xx.support().len() as u64, 1);
     }
 }
 

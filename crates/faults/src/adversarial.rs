@@ -38,7 +38,6 @@ use std::fmt;
 
 /// The configuration classes of the adversarial scorecard.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ConfigClass {
     /// Uniformly random distinct couplings (the Table II draw) — the
     /// baseline every adversarial class is scored against.

@@ -19,7 +19,6 @@ use rand::Rng;
 /// `≈ 2·sin²(θ/2)` to first order, so
 /// `θ_kick = 2·asin(√(odd_population/2))`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ResidualCoupling {
     odd_population: f64,
     kick_angle: f64,

@@ -10,7 +10,6 @@ use rand::Rng;
 /// Independent per-qubit readout flip model: a prepared/true `0` reads `1`
 /// with probability `p01`, a true `1` reads `0` with probability `p10`.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpamModel {
     /// P(read 1 | true 0).
     pub p01: f64,

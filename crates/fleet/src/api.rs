@@ -233,9 +233,14 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `trap` is out of range.
+    /// Panics if `trap` is out of range or `service_seconds` is negative
+    /// or not finite.
     pub fn submit(&mut self, trap: usize, service_seconds: f64) {
         assert!(trap < self.config.traps, "trap {trap} out of range");
+        assert!(
+            service_seconds >= 0.0 && service_seconds.is_finite(),
+            "bad service time {service_seconds}"
+        );
         self.pending_submissions.push((trap, service_seconds));
     }
 

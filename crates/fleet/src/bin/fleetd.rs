@@ -18,6 +18,10 @@
 //!
 //! Commands: `run <minutes>`, `submit <trap> <service_s> [count]`,
 //! `status <trap>`, `stats`, `metrics`, `summary`, `help`, `quit`.
+//! A malformed or out-of-range flag prints the usage line and exits 2
+//! (`--traps` ≥ 1, `--qubits` in 2..=20, finite non-negative `--rate`
+//! and `--service-mean`); a malformed command gets a one-line `error:`
+//! reply and the daemon keeps serving.
 //!
 //! `metrics` prints the deterministic counter snapshot — the fleet
 //! registry's cache/scheduler counters merged with the ambient backend
@@ -66,7 +70,39 @@ fn parse_flags() -> (FleetConfig, u64) {
             usage();
         }
     }
+    // Values `Fleet::new` or a shard would otherwise panic on.
+    let non_negative = |x: f64| x.is_finite() && x >= 0.0;
+    if config.traps == 0
+        || !(2..=itqc_backend::MAX_COMPONENT).contains(&config.n_qubits)
+        || !non_negative(config.arrival_rate_per_min)
+        || !non_negative(config.service_secs_mean)
+    {
+        usage();
+    }
     (config, minutes)
+}
+
+/// Parses the arguments of `submit <trap> <service_s> [count]`. The
+/// service time must be finite and positive: the duty ledger refuses
+/// anything else when the job runs, which would take a shard down.
+fn parse_submit<'a>(
+    mut words: impl Iterator<Item = &'a str>,
+    traps: usize,
+) -> Result<(usize, f64, usize), String> {
+    const USAGE: &str = "submit <trap> <service_s> [count]";
+    let trap = words.next().and_then(|w| w.parse::<usize>().ok()).ok_or(USAGE)?;
+    let service = words.next().and_then(|w| w.parse::<f64>().ok()).ok_or(USAGE)?;
+    let count = match words.next() {
+        Some(w) => w.parse::<usize>().map_err(|_| USAGE)?,
+        None => 1,
+    };
+    if trap >= traps {
+        return Err(format!("trap {trap} out of range"));
+    }
+    if !(service.is_finite() && service > 0.0) {
+        return Err(format!("service time {service} must be a positive number of seconds"));
+    }
+    Ok((trap, service, count))
 }
 
 fn main() {
@@ -97,21 +133,15 @@ fn main() {
                 }
                 None => "error: run <minutes>".to_string(),
             },
-            Some("submit") => {
-                let trap = words.next().and_then(|w| w.parse::<usize>().ok());
-                let service = words.next().and_then(|w| w.parse::<f64>().ok());
-                let count = words.next().and_then(|w| w.parse::<usize>().ok()).unwrap_or(1);
-                match (trap, service) {
-                    (Some(trap), Some(service)) if trap < fleet.config().traps => {
-                        for _ in 0..count {
-                            fleet.submit(trap, service);
-                        }
-                        format!("ok queued {count} job(s) on trap {trap}")
+            Some("submit") => match parse_submit(words, fleet.config().traps) {
+                Ok((trap, service, count)) => {
+                    for _ in 0..count {
+                        fleet.submit(trap, service);
                     }
-                    (Some(trap), Some(_)) => format!("error: trap {trap} out of range"),
-                    _ => "error: submit <trap> <service_s> [count]".to_string(),
+                    format!("ok queued {count} job(s) on trap {trap}")
                 }
-            }
+                Err(e) => format!("error: {e}"),
+            },
             Some("status") => match words.next().and_then(|w| w.parse::<usize>().ok()) {
                 Some(trap) if trap < fleet.config().traps => {
                     let s = fleet.status(trap);

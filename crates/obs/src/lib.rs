@@ -23,7 +23,7 @@
 //! The whole layer is **disabled by default**: every ambient event call
 //! is a single relaxed atomic load and a branch until
 //! [`set_enabled`]`(true)` (the bench binaries flip it under
-//! `--metrics`/`--cost-report`). Hot loops therefore pay nothing in
+//! `--metrics`). Hot loops therefore pay nothing in
 //! ordinary runs — `make obs-check` pins the overhead.
 //!
 //! Reporting is the caller's job: binaries render

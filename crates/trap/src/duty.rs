@@ -10,7 +10,6 @@ use std::fmt;
 
 /// What the machine is spending time on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Activity {
     /// Running customer/application circuits.
     Jobs,

@@ -315,6 +315,25 @@ impl VirtualTrap {
         counts
     }
 
+    /// The XX circuit `gates` compile to on this machine: each gate's
+    /// angle scaled by its coupling's static under-rotation plus one
+    /// fresh amplitude-jitter draw (none when jitter is off), in program
+    /// order.
+    fn noisy_xx(&mut self, gates: &[(Coupling, f64)]) -> XxCircuit {
+        let mut xx = XxCircuit::new(self.config.n_qubits);
+        for &(coupling, theta) in gates {
+            let u_static = self.true_under_rotation(coupling);
+            let jitter = if self.config.amplitude_jitter_std > 0.0 {
+                self.config.amplitude_jitter_std * standard_normal(&mut self.rng)
+            } else {
+                0.0
+            };
+            let (a, b) = coupling.endpoints();
+            xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
+        }
+        xx
+    }
+
     /// Executes a pure-XX test circuit on the exact commuting-XX engine
     /// and returns the number of shots observed on `target`.
     ///
@@ -331,17 +350,7 @@ impl VirtualTrap {
         shot_count: usize,
         activity: Activity,
     ) -> usize {
-        let mut xx = XxCircuit::new(self.config.n_qubits);
-        for &(coupling, theta) in gates {
-            let u_static = self.true_under_rotation(coupling);
-            let jitter = if self.config.amplitude_jitter_std > 0.0 {
-                self.config.amplitude_jitter_std * standard_normal(&mut self.rng)
-            } else {
-                0.0
-            };
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
-        }
+        let xx = self.noisy_xx(gates);
         let fidelity = xx.fidelity(target);
         let retention = self.config.spam.retention(target, self.config.n_qubits);
         let hits = shots::binomial(&mut self.rng, shot_count, fidelity * retention);
@@ -367,17 +376,7 @@ impl VirtualTrap {
         shot_count: usize,
         activity: Activity,
     ) -> usize {
-        let mut xx = XxCircuit::new(self.config.n_qubits);
-        for &(coupling, theta) in gates {
-            let u_static = self.true_under_rotation(coupling);
-            let jitter = if self.config.amplitude_jitter_std > 0.0 {
-                self.config.amplitude_jitter_std * standard_normal(&mut self.rng)
-            } else {
-                0.0
-            };
-            let (a, b) = coupling.endpoints();
-            xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
-        }
+        let xx = self.noisy_xx(gates);
         let spam_keep = 1.0 - (self.config.spam.p01 + self.config.spam.p10) / 2.0;
         let mut worst = shot_count;
         for q in xx.support() {

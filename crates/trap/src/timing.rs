@@ -9,7 +9,6 @@
 
 /// Wall-clock model for a trapped-ion machine. All times in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimingModel {
     /// Qubit (re-)initialisation per circuit run: cooling + optical
     /// pumping.

@@ -242,64 +242,6 @@ fn blocked_sampler_is_block_size_invariant_on_prepared_distributions() {
 }
 
 #[test]
-fn cost_model_prediction_brackets_measured_build_and_sample_time() {
-    // Sanity bounds, not a microbenchmark: on a single-component
-    // 14-qubit chain the static model's build + sample prediction must
-    // sit within 50× of the measured wall-clock either way (the CI
-    // cost gate holds the end-to-end fig8 run to a much tighter
-    // [0.25, 4.0]; this pins the per-primitive constants against
-    // bit-rot at integration level, with slack for noisy runners).
-    use itqc_backend::{SimCostModel, XxPrepared};
-    const BUILDS: usize = 8;
-    const SHOTS: usize = 100_000;
-    let model = SimCostModel::new();
-    let sizes = [14usize];
-    let predicted_build = BUILDS as f64 * model.table_build_seconds(&sizes);
-    let predicted_sample = model.sample_seconds(&sizes, SHOTS as u64);
-    let mut rng = SmallRng::seed_from_u64(0xC057);
-
-    let t0 = std::time::Instant::now();
-    let preps: Vec<XxPrepared> = (0..BUILDS)
-        .map(|i| {
-            let mut xx = itqc_sim::XxCircuit::new(14);
-            for q in 0..13 {
-                // Distinct angles per build so the component cache
-                // cannot short-circuit the work being measured.
-                xx.add_xx(q, q + 1, 0.1 + 0.01 * (i * 13 + q) as f64);
-            }
-            let prep = XxPrepared::prepare(xx).unwrap();
-            prep.distributions(); // force the table build
-            prep
-        })
-        .collect();
-    let measured_build = t0.elapsed().as_secs_f64();
-
-    let t1 = std::time::Instant::now();
-    let strings = preps[0].distributions();
-    let drawn = sample_via(strings, &mut rng, SHOTS);
-    let measured_sample = t1.elapsed().as_secs_f64();
-    assert_eq!(drawn.len(), SHOTS);
-
-    for (label, predicted, measured) in
-        [("build", predicted_build, measured_build), ("sample", predicted_sample, measured_sample)]
-    {
-        let ratio = predicted / measured.max(1e-12);
-        assert!(
-            (1.0 / 50.0..=50.0).contains(&ratio),
-            "{label}: predicted {predicted:.6} s vs measured {measured:.6} s (ratio {ratio:.3})"
-        );
-    }
-}
-
-fn sample_via<S: itqc_backend::SampleComponent>(
-    dists: &[S],
-    rng: &mut SmallRng,
-    shots: usize,
-) -> Vec<itqc_backend::BitString> {
-    itqc_backend::sample_strings_blocked(dists, rng, shots)
-}
-
-#[test]
 fn auto_choice_matches_forced_analytic_on_xx_circuits() {
     for case in 0..8 {
         let mut rng = SmallRng::seed_from_u64(0xA070 + case);
