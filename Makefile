@@ -6,7 +6,7 @@ CARGO ?= cargo
 # The 13 evaluation binaries, in paper order (extensions last).
 REPRO_BINS := table1 fig2 fig3 fig6 fig7 fig8 fig9 fig10 fig11 table2 rb ablations fig_adv
 
-.PHONY: build test bench fleet-bench repro work-check obs-check fmt lint clean
+.PHONY: build test bench fleet-bench repro work-check obs-check loc fmt lint clean
 
 ## build: release build of every workspace member
 build:
@@ -95,6 +95,10 @@ repro: build
 		echo; echo "==================== $$b ===================="; \
 		$(CARGO) run --release -q -p itqc-bench --bin $$b; \
 	done
+
+## loc: net lines of Rust outside vendor/ (the figure CHANGES.md reports)
+loc:
+	@find crates src tests examples -name '*.rs' | xargs cat | wc -l
 
 ## fmt: apply the workspace formatting style
 fmt:

@@ -17,7 +17,7 @@ fn bench_statevector(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_xx_exact_fidelity(c: &mut Criterion) {
+fn bench_xx_class_fidelity(c: &mut Criterion) {
     // The Gray-code Ising sum for a full first-round class test.
     let mut group = c.benchmark_group("xx_class_fidelity");
     group.sample_size(10);
@@ -54,5 +54,5 @@ fn bench_xx_population_score(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_statevector, bench_xx_exact_fidelity, bench_xx_population_score);
+criterion_group!(benches, bench_statevector, bench_xx_class_fidelity, bench_xx_population_score);
 criterion_main!(benches);

@@ -4,28 +4,9 @@ use itqc_backend::BackendChoice;
 use itqc_circuit::Coupling;
 use itqc_core::testplan::ScoreMode;
 use itqc_core::{first_round_classes, ExactExecutor, LabelSpace, TestSpec};
-use itqc_math::rng::standard_normal;
 use itqc_math::stats;
 use rand::Rng;
 use std::collections::BTreeSet;
-
-/// Builds an exact executor whose every coupling carries an ambient
-/// calibration error drawn `N(0, σ)` with `E|u| = mean_abs` (the paper's
-/// "10% average calibration error"), then overlays the given planted
-/// faults.
-pub fn ambient_executor<R: Rng + ?Sized>(
-    n_qubits: usize,
-    mean_abs: f64,
-    planted: &[(Coupling, f64)],
-    rng: &mut R,
-) -> ExactExecutor {
-    let space = LabelSpace::new(n_qubits);
-    let sigma = mean_abs * (std::f64::consts::PI / 2.0).sqrt();
-    let mut exec = ExactExecutor::new(n_qubits)
-        .with_faults(space.all_couplings().into_iter().map(|c| (c, sigma * standard_normal(rng))));
-    exec = exec.with_faults(planted.iter().copied());
-    exec
-}
 
 /// Machine size above which the uniform ambient model switches from
 /// per-coupling i.i.d. draws to one *common-mode* draw shared by every
@@ -239,9 +220,9 @@ mod tests {
     fn planted_faults_override_ambient() {
         let mut rng = SmallRng::seed_from_u64(1);
         let c = Coupling::new(0, 3);
-        let exec = ambient_executor(8, 0.05, &[(c, 0.4)], &mut rng);
+        let exec = ambient_executor_uniform(8, 0.05, &[(c, 0.4)], &mut rng);
         let spec = itqc_core::TestSpec::for_couplings("t", &[c], 4);
-        let f = exec.exact_fidelity(&spec);
+        let f = exec.exact_score(&spec);
         let expect = (std::f64::consts::PI * 0.4).cos().powi(2);
         assert!((f - expect).abs() < 1e-9);
     }
@@ -272,6 +253,39 @@ mod tests {
         );
         assert_eq!(t1, t8);
         assert!((0.0..=1.0).contains(&t1), "threshold {t1}");
+    }
+
+    /// The exact-score cut at the 5% quantile of 40 fault-free trials.
+    fn exact_cut(reps: usize, ambient_bound: f64, seed: u64) -> f64 {
+        calibrate_threshold_uniform_par(
+            2,
+            8,
+            reps,
+            ambient_bound,
+            ScoreMode::ExactTarget,
+            0,
+            0.05,
+            40,
+            seed,
+        )
+    }
+
+    #[test]
+    fn threshold_decreases_with_ambient_noise() {
+        let clean = exact_cut(4, 0.02, 2);
+        let noisy = exact_cut(4, 0.20, 2);
+        assert!(clean > noisy, "{clean} vs {noisy}");
+        assert!(clean > 0.9);
+        assert!(noisy < 0.9);
+    }
+
+    #[test]
+    fn deeper_tests_have_lower_thresholds() {
+        // Fig. 6's 0.45 (2-MS) vs 0.25 (4-MS) ordering: more amplification
+        // means more ambient accumulation, so the healthy band sits lower.
+        let t2 = exact_cut(2, 0.20, 3);
+        let t4 = exact_cut(4, 0.20, 3);
+        assert!(t4 < t2, "t4 {t4} must sit below t2 {t2}");
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod single_output;
 pub mod speedup;
 
 pub use adversarial::{adversarial_score, AdversarialScore};
-pub use ambient::ambient_executor;
 pub use args::Args;
 pub use detectability::{fig8_curve, fig8_threshold, DetectabilityCurve};
 pub use fig9::{fig9_panel, Fig9Panel};

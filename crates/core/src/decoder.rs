@@ -34,7 +34,7 @@
 //!   ([`DecoderPolicy::SetCoverFallback`]).
 
 use crate::classes::{LabelSpace, SubcubeClass};
-use crate::executor::{predicted_class_score, ClassScorePredictor};
+use crate::executor::ClassScorePredictor;
 use crate::syndrome::Syndrome;
 use crate::testplan::ScoreMode;
 use itqc_circuit::Coupling;
@@ -204,47 +204,20 @@ pub fn minimal_covers(
 
     let mut found: Vec<Vec<Coupling>> = Vec::new();
     for size in 1..=max_size {
-        search_covers(failing_mask(failing), &cands, size, &mut Vec::new(), 0, &mut found, cap);
+        search_covers_sized(
+            failing_mask(failing),
+            &cands,
+            size,
+            &mut Vec::new(),
+            0,
+            &mut found,
+            cap,
+        );
         if !found.is_empty() {
             break; // minimal size reached
         }
     }
     found
-}
-
-fn search_covers(
-    uncovered: u64,
-    cands: &[(Coupling, u64)],
-    budget: usize,
-    chosen: &mut Vec<Coupling>,
-    start: usize,
-    found: &mut Vec<Vec<Coupling>>,
-    cap: usize,
-) {
-    if found.len() >= cap {
-        return;
-    }
-    if uncovered == 0 {
-        found.push(chosen.clone());
-        return;
-    }
-    if budget == 0 {
-        return;
-    }
-    // Choose couplings in index order to enumerate each subset once.
-    for idx in start..cands.len() {
-        let (c, syn) = cands[idx];
-        // Must make progress on the uncovered set.
-        if syn & uncovered == 0 {
-            continue;
-        }
-        chosen.push(c);
-        search_covers(uncovered & !syn, cands, budget - 1, chosen, idx + 1, found, cap);
-        chosen.pop();
-        if found.len() >= cap {
-            return;
-        }
-    }
 }
 
 /// Enumerates exact covers of `failing` of **every** size up to
@@ -292,9 +265,12 @@ pub fn covers_up_to(
     found
 }
 
-/// Like [`search_covers`], but records only covers of exactly the
-/// remaining `budget` (so size-by-size enumeration never duplicates a
-/// smaller cover found in an earlier pass).
+/// Depth-first search for exact covers of `uncovered` with exactly
+/// `budget` more members, choosing candidates in index order from
+/// `start` (each subset is enumerated once) and requiring every member
+/// to cover at least one still-uncovered test. Records at most `cap`
+/// covers; size-by-size enumeration never duplicates a smaller cover
+/// found in an earlier pass.
 fn search_covers_sized(
     uncovered: u64,
     cands: &[(Coupling, u64)],
@@ -385,7 +361,7 @@ pub struct RankedCover {
 /// Gaussian log-likelihood of the observed round-1 scores under the
 /// hypothesis "exactly the couplings of `cover` are faulty, all with
 /// under-rotation `u`". Predicted per-class scores come from the
-/// product forward model ([`predicted_class_score`]).
+/// class forward model ([`ClassScorePredictor`]).
 pub fn cover_log_likelihood(
     cover: &[Coupling],
     u: f64,
@@ -415,7 +391,7 @@ fn log_likelihood_of_partition(parts: &[(Vec<Coupling>, f64)], u: f64, model: &C
     parts
         .iter()
         .map(|(members, obs)| {
-            let d = obs - predicted_class_score(members, u, model.reps, model.score);
+            let d = obs - ClassScorePredictor::new(members, model.reps, model.score).at(u);
             -d * d * inv
         })
         .sum()
@@ -508,7 +484,7 @@ impl CoverPosterior {
         // branch selection, degree/mask construction — out of the
         // magnitude grid; each grid point pays only the trigonometry.
         // The per-u arithmetic matches `log_likelihood_of_partition`
-        // exactly (same values, same summation order).
+        // exactly (same predictor, same summation order).
         let rounds: Vec<RoundPredictors> = self
             .rounds
             .iter()
@@ -581,7 +557,8 @@ impl CoverPosterior {
                 let members: Vec<Coupling> =
                     cover.iter().copied().filter(|&c| class.contains_coupling(c)).collect();
                 !members.is_empty()
-                    && predicted_class_score(&members, u_hat, round.model.reps, round.model.score)
+                    && ClassScorePredictor::new(&members, round.model.reps, round.model.score)
+                        .at(u_hat)
                         <= t - margin
             })
         })
@@ -663,22 +640,8 @@ pub fn consensus_accusation_within(ranked: &[RankedCover], margin: f64) -> Optio
         common.retain(|c| rc.couplings.contains(c));
     }
     // Posterior-weighted marginal over ALL ranked covers, restricted to
-    // the consensus members; ties break on the smallest coupling.
-    let mut weight: BTreeMap<Coupling, f64> = BTreeMap::new();
-    for rc in ranked {
-        let w = (rc.log_posterior - top).exp();
-        for &c in &rc.couplings {
-            if common.contains(&c) {
-                *weight.entry(c).or_insert(0.0) += w;
-            }
-        }
-    }
-    weight
-        .into_iter()
-        .max_by(|(ca, wa), (cb, wb)| {
-            wa.partial_cmp(wb).unwrap_or(std::cmp::Ordering::Equal).then(cb.cmp(ca))
-        })
-        .map(|(c, _)| c)
+    // the consensus members.
+    heaviest(posterior_marginal(ranked, |c| common.contains(&c)))
 }
 
 /// The coupling to *interrogate next* when the ranked posterior has no
@@ -691,14 +654,33 @@ pub fn consensus_accusation_within(ranked: &[RankedCover], margin: f64) -> Optio
 /// a healthy outcome eliminates all of them, and either way the cover
 /// set narrows decisively. Ties break on the smallest coupling.
 pub fn marginal_accusation(ranked: &[RankedCover]) -> Option<Coupling> {
-    let top = ranked.first()?.log_posterior;
-    let mut weight: BTreeMap<Coupling, f64> = BTreeMap::new();
+    heaviest(posterior_marginal(ranked, |_| true))
+}
+
+/// The posterior-weighted marginal of every member `keep` admits: each
+/// ranked cover adds `exp(log_posterior − top)` to each of its members,
+/// accumulated in ranking order.
+fn posterior_marginal(
+    ranked: &[RankedCover],
+    keep: impl Fn(Coupling) -> bool,
+) -> BTreeMap<Coupling, f64> {
+    let mut weight = BTreeMap::new();
+    let Some(first) = ranked.first() else {
+        return weight;
+    };
+    let top = first.log_posterior;
     for rc in ranked {
         let w = (rc.log_posterior - top).exp();
-        for &c in &rc.couplings {
+        for &c in rc.couplings.iter().filter(|&&c| keep(c)) {
             *weight.entry(c).or_insert(0.0) += w;
         }
     }
+    weight
+}
+
+/// The heaviest member of a marginal; ties break on the smallest
+/// coupling.
+fn heaviest(weight: BTreeMap<Coupling, f64>) -> Option<Coupling> {
     weight
         .into_iter()
         .max_by(|(ca, wa), (cb, wb)| {
@@ -729,13 +711,7 @@ pub fn disputed_members(ranked: &[RankedCover], margin: f64) -> Vec<Coupling> {
             *count.entry(c).or_insert(0) += 1;
         }
     }
-    let mut weight: BTreeMap<Coupling, f64> = BTreeMap::new();
-    for rc in ranked {
-        let w = (rc.log_posterior - top).exp();
-        for &c in &rc.couplings {
-            *weight.entry(c).or_insert(0.0) += w;
-        }
-    }
+    let weight = posterior_marginal(ranked, |_| true);
     let mut disputed: Vec<Coupling> =
         count.into_iter().filter(|&(_, n)| n < tied.len()).map(|(c, _)| c).collect();
     disputed.sort_by(|a, b| {
@@ -981,7 +957,7 @@ mod tests {
             .map(|class| {
                 let couplings = class.couplings(&space, &none);
                 let spec = TestSpec::for_couplings("obs", &couplings, reps);
-                (class, exec.exact_fidelity(&spec))
+                (class, exec.exact_score(&spec))
             })
             .collect()
     }

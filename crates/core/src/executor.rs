@@ -7,10 +7,12 @@
 
 use crate::testplan::{ScoreMode, TestSpec};
 use itqc_backend::memo::{cached_score, ScoreKind, SCORE_MEMO_MIN_GATES};
-use itqc_backend::{cache::xx_key, Backend, BackendChoice, PreparedCircuit, SimBackend as _};
+use itqc_backend::{
+    cache::xx_key, Backend, BackendChoice, PreparedCircuit, SimBackend as _, XxPrepared,
+};
 use itqc_circuit::{Circuit, Coupling};
 use itqc_sim::XxCircuit;
-use itqc_trap::{Activity, VirtualTrap};
+use itqc_trap::VirtualTrap;
 use std::collections::BTreeMap;
 use std::f64::consts::FRAC_PI_2;
 use std::rc::Rc;
@@ -108,30 +110,6 @@ impl ExactExecutor {
         }
     }
 
-    /// The exact target-state fidelity of a spec on this machine
-    /// (ExactTarget scoring regardless of the spec's score mode).
-    pub fn exact_fidelity(&self, spec: &TestSpec) -> f64 {
-        match &self.backend {
-            None => {
-                let xx =
-                    spec.noisy_xx(self.n_qubits, |c| self.faults.get(&c).copied().unwrap_or(0.0));
-                if spec.gates.len() >= SCORE_MEMO_MIN_GATES {
-                    cached_score(xx_key(&xx), spec.target, ScoreKind::ExactTarget, || {
-                        record_gray_walk(&xx);
-                        xx.fidelity(spec.target)
-                    })
-                } else {
-                    record_gray_walk(&xx);
-                    xx.fidelity(spec.target)
-                }
-            }
-            Some(_) => {
-                itqc_obs::event::add("core.exact.queries", 1);
-                self.prepare(spec).probability(spec.target)
-            }
-        }
-    }
-
     /// The exact score of a spec under its own [`ScoreMode`].
     ///
     /// On the inline oracle path scores of non-trivial circuits are
@@ -195,9 +173,10 @@ impl TestExecutor for ExactExecutor {
     }
 }
 
-/// [`TestExecutor`] for the virtual machine: tests run on the exact
-/// commuting-XX path with shot sampling, adaptations are billed to the
-/// duty ledger.
+/// [`TestExecutor`] for the virtual machine: the trap emits the noisy
+/// test circuit ([`VirtualTrap::noisy_xx`]), which is prepared without
+/// a cache and scored by [`score_on_trap`]; adaptations are billed to
+/// the duty ledger.
 impl TestExecutor for VirtualTrap {
     fn n_qubits(&self) -> usize {
         VirtualTrap::n_qubits(self)
@@ -207,20 +186,62 @@ impl TestExecutor for VirtualTrap {
         if shots == 0 {
             return 0.0;
         }
-        let hits = match spec.score {
-            ScoreMode::ExactTarget => {
-                self.run_xx_test(&spec.gates, spec.target, shots, Activity::Testing)
-            }
-            ScoreMode::WorstQubit => {
-                self.run_xx_test_population(&spec.gates, spec.target, shots, Activity::Testing)
-            }
-        };
-        hits as f64 / shots as f64
+        let prep = XxPrepared::prepare(self.noisy_xx(&spec.gates))
+            .expect("trap test circuits are commuting-XX");
+        score_on_trap(self, &prep, spec, shots)
     }
 
     fn note_adaptation(&mut self, couplings_compiled: usize) {
         self.bill_adaptation(couplings_compiled);
     }
+}
+
+/// Samples and bills one test of `spec` on `trap`, given the prepared
+/// noisy circuit the trap emitted for it — the one trap scorer, shared
+/// by [`VirtualTrap`]'s own executor and cache-routed executors. Returns
+/// the observed score in `[0, 1]`.
+///
+/// * [`ScoreMode::ExactTarget`] — one binomial draw at the target-string
+///   probability times its SPAM retention.
+/// * [`ScoreMode::WorstQubit`] — one binomial draw per support qubit at
+///   its marginal agreement with the target times the mean SPAM keep
+///   rate; the score is the *worst* qubit's hit count. This is the
+///   statistic that survives ambient miscalibration at 32-qubit class
+///   sizes, where the exact-string probability collapses. Per-qubit
+///   samples are drawn independently; correlations between qubit
+///   readouts shift the minimum statistic only at second order.
+///
+/// Every draw comes from the trap's RNG ([`VirtualTrap::observe_binomial`])
+/// and the shot time is billed as testing.
+pub fn score_on_trap(
+    trap: &mut VirtualTrap,
+    prep: &XxPrepared,
+    spec: &TestSpec,
+    shots: usize,
+) -> f64 {
+    if shots == 0 {
+        return 0.0;
+    }
+    let n = trap.n_qubits();
+    let hits = match spec.score {
+        ScoreMode::ExactTarget => {
+            let retention = trap.config().spam.retention(spec.target, n);
+            trap.observe_binomial(shots, prep.probability(spec.target) * retention)
+        }
+        ScoreMode::WorstQubit => {
+            let spam = &trap.config().spam;
+            let spam_keep = 1.0 - (spam.p01 + spam.p10) / 2.0;
+            let mut worst = shots;
+            for &q in prep.support() {
+                let p = prep.qubit_agreement(q, spec.target) * spam_keep;
+                worst = worst.min(trap.observe_binomial(shots, p));
+            }
+            worst
+        }
+    };
+    let dt = trap.config().timing.shots(n, spec.gate_count(), 0, shots);
+    trap.bill_test_time(dt);
+    hits as f64 / shots as f64
 }
 
 /// Convenience oracle: the exact fidelity a single faulty coupling of
@@ -232,85 +253,15 @@ pub fn point_test_fidelity(u: f64, reps: usize) -> f64 {
     (missing / 2.0).cos().powi(2)
 }
 
-/// Largest faulty-set size for which [`predicted_class_score`] runs the
+/// Largest faulty-set size for which [`ClassScorePredictor`] runs the
 /// exact even-subgraph interference sum (`2^m` subsets); beyond it the
 /// product truncation is used. Candidate covers are bounded by the fault
 /// budget, so realistic calls stay far below this.
 pub const INTERFERENCE_SUM_LIMIT: usize = 16;
 
-/// Forward model of the ranked aliasing decoder: the score a class test
-/// is predicted to produce when exactly the couplings in `faulty` (all
-/// members of the class) carry under-rotation `u`.
-///
-/// * [`ScoreMode::ExactTarget`] — for even `reps` every healthy coupling
-///   contributes an exact bit-flip, so only the faulty couplings'
-///   residual rotations `exp(∓i·δ_f·X_aX_b)` with `δ_f = reps·u·π/4`
-///   remain. Expanding each residual into `cos δ·𝟙 − i·sin δ·X_aX_b`
-///   terms, a product term survives on the target string exactly when
-///   its chosen flips cancel — when the chosen couplings form an
-///   even-degree subgraph (a cycle union). The amplitude is therefore
-///
-///   `A = Σ_{S ⊆ faulty, S even} (−i·sin δ)^{|S|}·(cos δ)^{m−|S|}`
-///
-///   and the score is `|A|²`. Only `S = ∅` survives for `m ≤ 2`
-///   (reproducing the plain product `cos²(δ)^m`), while cycle-closing
-///   covers from three faults up pick up interference terms the product
-///   truncation misses — e.g. a fault triangle inside one class scores
-///   `cos⁶δ + sin⁶δ`, not `cos⁶δ`. The sum is exact for any cover the
-///   decoder scores (sets larger than [`INTERFERENCE_SUM_LIMIT`] fall
-///   back to the product).
-/// * [`ScoreMode::WorstQubit`] — exact for any fault multiset: the
-///   qubit marginal `⟨Z_q⟩` multiplies `cos(reps·u·π/2)` per incident
-///   fault, so the worst agreement is `(1 + c^{d_q})/2` minimised over
-///   the per-qubit incident-fault counts `d_q`.
-pub fn predicted_class_score(faulty: &[Coupling], u: f64, reps: usize, score: ScoreMode) -> f64 {
-    if faulty.is_empty() {
-        return 1.0;
-    }
-    match score {
-        ScoreMode::ExactTarget => {
-            let m = faulty.len();
-            // The interference sum indexes qubits as u128 bits; labels
-            // beyond the mask width (or oversized sets) fall back to
-            // the product truncation rather than aliasing bits.
-            let maskable = faulty.iter().all(|f| {
-                let (a, b) = f.endpoints();
-                a < 128 && b < 128
-            });
-            if m <= 2 || m > INTERFERENCE_SUM_LIMIT || !maskable {
-                return point_test_fidelity(u, reps).powi(m as i32);
-            }
-            interference_class_score(faulty, u, reps)
-        }
-        ScoreMode::WorstQubit => {
-            let c = (reps as f64 * u * FRAC_PI_2).cos();
-            let mut degree: BTreeMap<usize, i32> = BTreeMap::new();
-            for f in faulty {
-                let (a, b) = f.endpoints();
-                *degree.entry(a).or_insert(0) += 1;
-                *degree.entry(b).or_insert(0) += 1;
-            }
-            degree.values().map(|&d| (1.0 + c.powi(d)) / 2.0).fold(1.0, f64::min)
-        }
-    }
-}
-
-/// The exact even-subgraph interference sum behind
-/// [`predicted_class_score`]'s `ExactTarget` branch (see its docs for
-/// the derivation). `2^m` subsets; callers bound `m`.
-fn interference_class_score(faulty: &[Coupling], u: f64, reps: usize) -> f64 {
-    let masks: Vec<u128> = faulty
-        .iter()
-        .map(|f| {
-            let (a, b) = f.endpoints();
-            (1u128 << a) | (1u128 << b)
-        })
-        .collect();
-    interference_sum(&masks, u, reps)
-}
-
-/// The per-`u` half of [`interference_class_score`], over pre-built
-/// endpoint masks (one per fault).
+/// The even-subgraph interference sum at magnitude `u`, over pre-built
+/// endpoint masks (one per fault; see [`ClassScorePredictor`] for the
+/// derivation). `2^m` subsets; callers bound `m`.
 fn interference_sum(masks: &[u128], u: f64, reps: usize) -> f64 {
     let m = masks.len();
     let delta = reps as f64 * u * FRAC_PI_2 / 2.0;
@@ -339,12 +290,37 @@ fn interference_sum(masks: &[u128], u: f64, reps: usize) -> f64 {
     re * re + im * im
 }
 
-/// [`predicted_class_score`] with the `u`-independent work hoisted out:
-/// branch selection, worst-qubit degree counting, and interference mask
-/// construction happen once at build time, so the magnitude-profiling
-/// grid pays only the per-`u` trigonometry. Guaranteed bit-identical to
-/// `predicted_class_score(faulty, u, reps, score)` at every `u` — the
-/// per-`u` arithmetic is the same instruction sequence.
+/// Forward model of the ranked aliasing decoder: the score a class test
+/// is predicted to produce when exactly the couplings in `faulty` (all
+/// members of the class) carry under-rotation `u`.
+///
+/// * [`ScoreMode::ExactTarget`] — for even `reps` every healthy coupling
+///   contributes an exact bit-flip, so only the faulty couplings'
+///   residual rotations `exp(∓i·δ_f·X_aX_b)` with `δ_f = reps·u·π/4`
+///   remain. Expanding each residual into `cos δ·𝟙 − i·sin δ·X_aX_b`
+///   terms, a product term survives on the target string exactly when
+///   its chosen flips cancel — when the chosen couplings form an
+///   even-degree subgraph (a cycle union). The amplitude is therefore
+///
+///   `A = Σ_{S ⊆ faulty, S even} (−i·sin δ)^{|S|}·(cos δ)^{m−|S|}`
+///
+///   and the score is `|A|²`. Only `S = ∅` survives for `m ≤ 2`
+///   (reproducing the plain product `cos²(δ)^m`), while cycle-closing
+///   covers from three faults up pick up interference terms the product
+///   truncation misses — e.g. a fault triangle inside one class scores
+///   `cos⁶δ + sin⁶δ`, not `cos⁶δ`. The sum is exact for any cover the
+///   decoder scores (sets larger than [`INTERFERENCE_SUM_LIMIT`], or
+///   with qubit labels beyond the 128-bit mask, fall back to the
+///   product).
+/// * [`ScoreMode::WorstQubit`] — exact for any fault multiset: the
+///   qubit marginal `⟨Z_q⟩` multiplies `cos(reps·u·π/2)` per incident
+///   fault, so the worst agreement is `(1 + c^{d_q})/2` minimised over
+///   the per-qubit incident-fault counts `d_q`.
+///
+/// The `u`-independent work — branch selection, worst-qubit degree
+/// counting, interference mask construction — happens once in
+/// [`Self::new`], so the decoder's magnitude-profiling grid pays only
+/// the per-`u` trigonometry in [`Self::at`].
 #[derive(Clone, Debug)]
 pub struct ClassScorePredictor {
     reps: usize,
@@ -361,9 +337,7 @@ enum PredictorKind {
     /// endpoint masks.
     Interference { masks: Vec<u128> },
     /// `WorstQubit`: per-qubit incident-fault degrees, in ascending
-    /// qubit order (matching the `BTreeMap` iteration of the unhoisted
-    /// path, so the min-fold visits identical values in identical
-    /// order).
+    /// qubit order.
     WorstQubit { degrees: Vec<i32> },
 }
 
@@ -376,6 +350,10 @@ impl ClassScorePredictor {
             match score {
                 ScoreMode::ExactTarget => {
                     let m = faulty.len();
+                    // The interference sum indexes qubits as u128 bits;
+                    // labels beyond the mask width (or oversized sets)
+                    // fall back to the product truncation rather than
+                    // aliasing bits.
                     let maskable = faulty.iter().all(|f| {
                         let (a, b) = f.endpoints();
                         a < 128 && b < 128
@@ -426,7 +404,8 @@ impl ClassScorePredictor {
 mod tests {
     use super::*;
     use crate::testplan::TestSpec;
-    use itqc_trap::TrapConfig;
+    use itqc_faults::SpamModel;
+    use itqc_trap::{Activity, TrapConfig};
 
     #[test]
     fn exact_executor_perfect_machine() {
@@ -444,41 +423,6 @@ mod tests {
                 let f = exec.run_test(&spec, 1);
                 let expect = point_test_fidelity(u, reps);
                 assert!((f - expect).abs() < 1e-12, "u={u} reps={reps}: {f} vs {expect}");
-            }
-        }
-    }
-
-    #[test]
-    fn class_score_predictor_is_bit_identical_to_the_unhoisted_path() {
-        // Every branch — empty, product truncation, interference sum,
-        // worst-qubit degrees — across the full magnitude grid, both
-        // score modes, both ladder rungs.
-        let covers: Vec<Vec<Coupling>> = vec![
-            vec![],
-            vec![Coupling::new(0, 1)],
-            vec![Coupling::new(0, 1), Coupling::new(2, 3)],
-            vec![Coupling::new(0, 1), Coupling::new(1, 2), Coupling::new(0, 2)],
-            vec![
-                Coupling::new(0, 1),
-                Coupling::new(1, 2),
-                Coupling::new(2, 3),
-                Coupling::new(0, 3),
-            ],
-            vec![Coupling::new(0, 5), Coupling::new(0, 5), Coupling::new(2, 7)],
-        ];
-        for cover in &covers {
-            for reps in [2usize, 4] {
-                for score in [ScoreMode::ExactTarget, ScoreMode::WorstQubit] {
-                    let pred = ClassScorePredictor::new(cover, reps, score);
-                    for s in 0..33 {
-                        let u = 0.02 + 0.48 * s as f64 / 32.0;
-                        assert_eq!(
-                            pred.at(u).to_bits(),
-                            predicted_class_score(cover, u, reps, score).to_bits(),
-                            "cover {cover:?} reps={reps} score={score:?} u={u}"
-                        );
-                    }
-                }
             }
         }
     }
@@ -522,8 +466,8 @@ mod tests {
                     let mut tested = faults.to_vec();
                     tested.push(c(6, 7)); // healthy coupling in the same test
                     let spec = TestSpec::for_couplings("t", &tested, reps);
-                    let expect = exec.exact_fidelity(&spec);
-                    let got = predicted_class_score(faults, u, reps, ScoreMode::ExactTarget);
+                    let expect = exec.exact_score(&spec);
+                    let got = ClassScorePredictor::new(faults, reps, ScoreMode::ExactTarget).at(u);
                     assert!(
                         (got - expect).abs() < 1e-12,
                         "{faults:?} u={u} reps={reps}: {got} vs {expect}"
@@ -533,8 +477,8 @@ mod tests {
         }
         // The triangle's closed form: |cos³δ + i·sin³δ|² = cos⁶δ + sin⁶δ.
         let d = 4.0 * 0.30 * FRAC_PI_2 / 2.0;
-        let tri =
-            predicted_class_score(&[c(0, 1), c(1, 2), c(0, 2)], 0.30, 4, ScoreMode::ExactTarget);
+        let tri = ClassScorePredictor::new(&[c(0, 1), c(1, 2), c(0, 2)], 4, ScoreMode::ExactTarget)
+            .at(0.30);
         assert!((tri - (d.cos().powi(6) + d.sin().powi(6))).abs() < 1e-12);
     }
 
@@ -558,7 +502,6 @@ mod tests {
                     "{choice:?} disagrees on {}",
                     spec.label
                 );
-                assert!((inline.exact_fidelity(spec) - routed.exact_fidelity(spec)).abs() < 1e-9);
             }
         }
         // The analytic route reuses one preparation per distinct circuit.
@@ -580,5 +523,115 @@ mod tests {
         let f_trap = trap.run_test(&spec, 5000);
         let f_oracle = oracle.run_test(&spec, 1);
         assert!((f_trap - f_oracle).abs() < 0.03, "{f_trap} vs {f_oracle}");
+    }
+
+    /// Four fully-entangling MS gates on one coupling (target `0…0`).
+    fn four_ms(c: Coupling) -> TestSpec {
+        TestSpec::for_couplings("t", &[c], 4)
+    }
+
+    #[test]
+    fn ideal_machine_passes_perfect_tests() {
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 1));
+        assert_eq!(trap.run_test(&four_ms(Coupling::new(0, 4)), 300), 1.0);
+    }
+
+    #[test]
+    fn injected_fault_shows_in_xx_test() {
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 2));
+        let c = Coupling::new(0, 4);
+        trap.inject_fault(c, 0.47);
+        let p = trap.run_test(&four_ms(c), 300);
+        let expect = (std::f64::consts::PI * 0.47).cos().powi(2);
+        assert!((p - expect).abs() < 0.08, "p {p} vs {expect}");
+    }
+
+    #[test]
+    fn dense_and_xx_paths_agree_on_amplitude_faults() {
+        let mut cfg = TrapConfig::ideal(4, 3);
+        cfg.spam = SpamModel::IDEAL;
+        let mut trap = VirtualTrap::new(cfg);
+        let c = Coupling::new(1, 3);
+        trap.inject_fault(c, 0.22);
+        let spec = four_ms(c);
+        let xx_p = trap.run_test(&spec, 4000);
+        let counts = trap.run_circuit(&spec.as_circuit(4), 4000, Activity::Testing);
+        let dense_p = *counts.get(&0).unwrap_or(&0) as f64 / 4000.0;
+        assert!((dense_p - xx_p).abs() < 0.05, "dense {dense_p} vs xx {xx_p}");
+    }
+
+    #[test]
+    fn observe_binomial_matches_run_test_on_same_seed() {
+        // Same seed, same p → the external-executor sampling path draws
+        // the exact shot sequence run_test would have drawn.
+        let c = Coupling::new(0, 1);
+        let mut a = VirtualTrap::new(TrapConfig::ideal(4, 77));
+        a.inject_fault(c, 0.2);
+        let via_test = a.run_test(&four_ms(c), 500);
+        let mut b = VirtualTrap::new(TrapConfig::ideal(4, 77));
+        b.inject_fault(c, 0.2);
+        let mut xx = XxCircuit::new(4);
+        for _ in 0..4 {
+            xx.add_xx(0, 1, FRAC_PI_2 * 0.8);
+        }
+        let p = xx.fidelity(0);
+        assert_eq!(b.observe_binomial(500, p) as f64 / 500.0, via_test);
+    }
+
+    #[test]
+    fn duty_ledger_tracks_activities() {
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 7));
+        trap.bill_job_time(100.0);
+        let _ = trap.run_test(&four_ms(Coupling::new(0, 1)), 300);
+        trap.note_adaptation(28);
+        assert!(trap.duty().uptime_fraction() > 0.9);
+        assert!(trap.duty().seconds(Activity::Testing) > 0.0);
+        assert!(trap.duty().seconds(Activity::Adaptation) > 0.0);
+    }
+
+    #[test]
+    fn spam_attenuates_test_fidelity() {
+        let mut cfg = TrapConfig::ideal(8, 9);
+        cfg.spam = SpamModel::new(0.01, 0.01);
+        let mut trap = VirtualTrap::new(cfg);
+        let p = trap.run_test(&four_ms(Coupling::new(0, 1)), 20_000);
+        let expect = 0.99f64.powi(8);
+        assert!((p - expect).abs() < 0.01, "p {p} vs {expect}");
+    }
+
+    #[test]
+    fn trap_scores_and_billing_are_pinned() {
+        // A seeded paper-like machine with amplitude jitter, SPAM and
+        // one planted fault: the exact hit counts and the testing time
+        // billed by an ExactTarget and a WorstQubit first-round battery
+        // at 2 and 4 repetitions.
+        use crate::classes::{first_round_classes, LabelSpace};
+        const SHOTS: usize = 200;
+        let mut cfg = TrapConfig::paper_like(8, 1305);
+        cfg.amplitude_jitter_std = 0.05;
+        let mut trap = VirtualTrap::new(cfg);
+        trap.inject_fault(Coupling::new(0, 4), 0.30);
+        let space = LabelSpace::new(8);
+        let none = std::collections::BTreeSet::new();
+        let mut hits = Vec::new();
+        for score in [ScoreMode::ExactTarget, ScoreMode::WorstQubit] {
+            for reps in [2usize, 4] {
+                for class in first_round_classes(&space) {
+                    let couplings = class.couplings(&space, &none);
+                    let spec = TestSpec::for_couplings("pin", &couplings, reps).with_score(score);
+                    hits.push((trap.run_test(&spec, SHOTS) * SHOTS as f64).round() as usize);
+                }
+            }
+        }
+        assert_eq!(
+            hits,
+            [
+                // ExactTarget at 2 MS, then 4 MS.
+                136, 188, 144, 193, 189, 191, 83, 185, 59, 177, 184, 191,
+                // WorstQubit at 2 MS, then 4 MS.
+                166, 198, 150, 192, 200, 193, 78, 191, 41, 193, 190, 197,
+            ]
+        );
+        assert_eq!(trap.duty().seconds(Activity::Testing).to_bits(), 0x4035_9999_9999_999b);
     }
 }

@@ -101,12 +101,11 @@ impl TestSpec {
 
     /// Accumulates the spec into the commuting-XX circuit a machine with
     /// the given per-coupling under-rotations would actually execute:
-    /// every programmed `θ` becomes `θ·(1−u)`. This is the batching
-    /// entry point for executors that dispatch test plans through the
-    /// `itqc_backend` seam — the returned circuit is exactly the cache
-    /// key unit (register size + couplings + noisy angle bits), so two
-    /// traps with identical coupling graphs and calibration profiles
-    /// map the same spec to the same prepared circuit.
+    /// every programmed `θ` becomes `θ·(1−u)`. This is the oracle
+    /// executor's entry point to the `itqc_backend` seam — the returned
+    /// circuit is exactly the cache key unit (register size, couplings
+    /// and noisy angle bits). Virtual traps build theirs with
+    /// `VirtualTrap::noisy_xx`, which adds amplitude jitter.
     pub fn noisy_xx(&self, n_qubits: usize, under_rotation: impl Fn(Coupling) -> f64) -> XxCircuit {
         let mut xx = XxCircuit::new(n_qubits);
         for &(coupling, theta) in &self.gates {

@@ -1,15 +1,15 @@
 //! The cache-routed test executor for fleet traps.
 //!
 //! [`CachedTrapExecutor`] implements `itqc_core::TestExecutor` over a
-//! [`VirtualTrap`], but instead of re-deriving every test circuit's
-//! output statistics shot-engine-style (`VirtualTrap::run_xx_test`), it
-//! resolves the accumulated noisy circuit through the two cache layers
-//! — per-trap L1, shared snapshot L2 — and only builds an
-//! [`XxPrepared`] on a double miss, logging the build so the scheduler
-//! can admit it into the shared cache at the tick barrier.
+//! [`VirtualTrap`]. The trap emits each test circuit
+//! ([`VirtualTrap::noisy_xx`]) and the one trap scorer
+//! ([`score_on_trap`]) samples and bills it; only the preparation
+//! in between is routed through the two cache layers — per-trap L1,
+//! shared snapshot L2 — with an [`XxPrepared`] built only on a double
+//! miss and logged so the scheduler can admit it into the shared cache
+//! at the tick barrier.
 //!
-//! Shot outcomes are still drawn from the trap's own RNG
-//! ([`VirtualTrap::observe_binomial`]), so a machine behaves
+//! Shot outcomes are drawn from the trap's own RNG, so a machine behaves
 //! bit-identically whether its tests run through this executor, another
 //! trap warmed the cache first, or no cache exists at all. This is the
 //! property that makes the fleet summary independent of worker count.
@@ -21,46 +21,11 @@
 
 use crate::cache::{CacheSnapshot, PrepKey, TrapCache};
 use itqc_backend::cache::xx_key;
-use itqc_backend::{CacheCounters, PreparedCircuit, XxPrepared};
-use itqc_core::testplan::ScoreMode;
+use itqc_backend::{CacheCounters, XxPrepared};
+use itqc_core::executor::score_on_trap;
 use itqc_core::{TestExecutor, TestSpec};
 use itqc_trap::VirtualTrap;
 use std::sync::Arc;
-
-/// Samples and bills one test against an already-prepared circuit,
-/// mirroring `VirtualTrap::run_xx_test` / `run_xx_test_population`
-/// exactly (same probabilities, same RNG stream, same billing).
-/// Returns the observed score in `[0, 1]`.
-pub fn score_prepared(
-    trap: &mut VirtualTrap,
-    prep: &XxPrepared,
-    spec: &TestSpec,
-    shots: usize,
-) -> f64 {
-    if shots == 0 {
-        return 0.0;
-    }
-    let n = trap.n_qubits();
-    let hits = match spec.score {
-        ScoreMode::ExactTarget => {
-            let retention = trap.config().spam.retention(spec.target, n);
-            trap.observe_binomial(shots, prep.probability(spec.target) * retention)
-        }
-        ScoreMode::WorstQubit => {
-            let spam = &trap.config().spam;
-            let spam_keep = 1.0 - (spam.p01 + spam.p10) / 2.0;
-            let mut worst = shots;
-            for &q in prep.support() {
-                let p = prep.qubit_agreement(q, spec.target) * spam_keep;
-                worst = worst.min(trap.observe_binomial(shots, p));
-            }
-            worst
-        }
-    };
-    let dt = trap.config().timing.shots(n, spec.gate_count(), 0, shots);
-    trap.bill_test_time(dt);
-    hits as f64 / shots as f64
-}
 
 /// A per-trap executor routing circuit preparation through the fleet's
 /// cache hierarchy. Borrows the trap and its tick-scoped state for the
@@ -98,7 +63,7 @@ impl<'a> CachedTrapExecutor<'a> {
     /// Resolves the prepared circuit for `spec` under the trap's current
     /// calibration: L1, then the L2 snapshot, then build-and-log.
     pub fn prepared_for(&mut self, spec: &TestSpec) -> Arc<XxPrepared> {
-        let xx = spec.noisy_xx(self.trap.n_qubits(), |c| self.trap.true_under_rotation(c));
+        let xx = self.trap.noisy_xx(&spec.gates);
         let key = xx_key(&xx);
         if let Some(p) = self.l1.get(&key) {
             return p;
@@ -128,7 +93,7 @@ impl TestExecutor for CachedTrapExecutor<'_> {
             return 0.0;
         }
         let prep = self.prepared_for(spec);
-        score_prepared(self.trap, &prep, spec, shots)
+        score_on_trap(self.trap, &prep, spec, shots)
     }
 
     fn note_adaptation(&mut self, couplings_compiled: usize) {
@@ -140,6 +105,7 @@ impl TestExecutor for CachedTrapExecutor<'_> {
 mod tests {
     use super::*;
     use itqc_circuit::Coupling;
+    use itqc_core::testplan::ScoreMode;
     use itqc_trap::{Activity, TrapConfig};
 
     #[allow(clippy::type_complexity)]
@@ -167,31 +133,45 @@ mod tests {
     #[test]
     fn cached_executor_matches_direct_trap_execution() {
         // Same seed → the cached path must reproduce the trap's own
-        // shot-engine path bit for bit, for both score modes.
-        let spec_exact = TestSpec::for_couplings("t", &[Coupling::new(0, 3)], 4);
-        let spec_worst = TestSpec::for_couplings("t", &[Coupling::new(1, 2)], 2)
-            .with_score(ScoreMode::WorstQubit);
+        // uncached path bit for bit, for both score modes and for a
+        // circuit that splits into several connected components.
+        let specs = [
+            (TestSpec::for_couplings("t", &[Coupling::new(0, 3)], 4), 400),
+            (
+                TestSpec::for_couplings("t", &[Coupling::new(1, 2)], 2)
+                    .with_score(ScoreMode::WorstQubit),
+                250,
+            ),
+            (
+                TestSpec::for_couplings(
+                    "t",
+                    &[Coupling::new(0, 3), Coupling::new(1, 2), Coupling::new(4, 5)],
+                    2,
+                ),
+                300,
+            ),
+        ];
         let mut direct = VirtualTrap::new(TrapConfig::ideal(6, 4242));
         direct.inject_fault(Coupling::new(0, 3), 0.21);
-        let d1 = direct.run_test(&spec_exact, 400);
-        let d2 = direct.run_test(&spec_worst, 250);
+        direct.inject_fault(Coupling::new(4, 5), -0.13);
+        let d: Vec<f64> = specs.iter().map(|(spec, shots)| direct.run_test(spec, *shots)).collect();
 
         let (mut trap, mut l1, l2, mut built, mut touched, mut c) = harness(4242);
         trap.inject_fault(Coupling::new(0, 3), 0.21);
+        trap.inject_fault(Coupling::new(4, 5), -0.13);
         let mut exec =
             CachedTrapExecutor::new(&mut trap, &mut l1, &l2, &mut built, &mut touched, &mut c);
-        let c1 = exec.run_test(&spec_exact, 400);
-        let c2 = exec.run_test(&spec_worst, 250);
-        assert_eq!(d1.to_bits(), c1.to_bits());
-        assert_eq!(d2.to_bits(), c2.to_bits());
+        for ((spec, shots), d) in specs.iter().zip(d) {
+            assert_eq!(d.to_bits(), exec.run_test(spec, *shots).to_bits(), "{spec}");
+        }
         assert_eq!(
             direct.duty().seconds(Activity::Testing).to_bits(),
             trap.duty().seconds(Activity::Testing).to_bits(),
-            "billing must match the shot-engine path"
+            "billing must match the uncached path"
         );
-        // Both circuits were cold: two L2 misses, two logged builds.
-        assert_eq!((c.hits, c.misses), (0, 2));
-        assert_eq!(built.len(), 2);
+        // Every circuit was cold: one L2 miss and one logged build each.
+        assert_eq!((c.hits, c.misses), (0, 3));
+        assert_eq!(built.len(), 3);
         assert!(touched.is_empty());
     }
 

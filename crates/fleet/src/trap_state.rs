@@ -252,9 +252,7 @@ impl TrapState {
         if tick >= self.next_canary_min {
             self.next_canary_min = tick + self.params.canary_cadence_min;
             self.queue.push(WorkKind::Canary, PRIO_CANARY, now, now);
-            let xx = self
-                .canary_spec
-                .noisy_xx(self.params.n_qubits, |c| self.trap.true_under_rotation(c));
+            let xx = self.trap.noisy_xx(&self.canary_spec.gates);
             let key = xx_key(&xx);
             return Some(PrepRequest { key, xx });
         }

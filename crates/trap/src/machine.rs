@@ -7,15 +7,16 @@
 //! bills every operation to a duty-cycle ledger through the §VIII timing
 //! model.
 //!
-//! Two execution paths are provided, matching the paper's own methodology:
-//!
-//! * [`VirtualTrap::run_circuit`] — dense trajectory simulation with every
-//!   noise channel (amplitude, 1/f phase, residual bus, SPAM); used at
-//!   hardware scale (≤ ~14 qubits).
-//! * [`VirtualTrap::run_xx_test`] — the exact commuting-XX engine for test
-//!   circuits, with amplitude-type channels and SPAM attenuation; scales to
-//!   32+ qubits exactly like the paper's scaling study, which "suppresses
-//!   phase noise and residual couplings" (§VII).
+//! [`VirtualTrap::run_circuit`] runs dense trajectory simulation with
+//! every noise channel (amplitude, 1/f phase, residual bus, SPAM) at
+//! hardware scale (≤ ~14 qubits). Protocol test circuits take the exact
+//! commuting-XX route instead: [`VirtualTrap::noisy_xx`] emits the
+//! circuit the machine executes, and the scorer behind
+//! `itqc_core::TestExecutor` samples it from the trap's RNG
+//! ([`VirtualTrap::observe_binomial`]) with SPAM attenuation, billing
+//! the test time. That route carries amplitude-type channels only, like
+//! the paper's scaling study, which "suppresses phase noise and residual
+//! couplings" (§VII).
 
 use crate::duty::{Activity, DutyLedger};
 use crate::timing::TimingModel;
@@ -238,10 +239,10 @@ impl VirtualTrap {
     }
 
     /// Draws `shots` Bernoulli(`p`) outcomes from the machine's own RNG
-    /// stream and returns the hit count — the sampling half of
-    /// [`Self::run_xx_test`] for external executors that computed `p`
-    /// elsewhere (e.g. through a shared prepared-circuit cache). The
-    /// caller is responsible for billing the test time (see
+    /// stream and returns the hit count — the sampling half of a test,
+    /// for the scorer that computed `p` from the circuit
+    /// [`Self::noisy_xx`] emitted (directly or through a shared
+    /// prepared-circuit cache). The caller bills the test time (see
     /// [`Self::bill_test_time`]); keeping the draw on the trap's RNG
     /// keeps the machine fully deterministic in its seed no matter which
     /// executor runs its tests.
@@ -317,9 +318,12 @@ impl VirtualTrap {
 
     /// The XX circuit `gates` compile to on this machine: each gate's
     /// angle scaled by its coupling's static under-rotation plus one
-    /// fresh amplitude-jitter draw (none when jitter is off), in program
-    /// order.
-    fn noisy_xx(&mut self, gates: &[(Coupling, f64)]) -> XxCircuit {
+    /// fresh amplitude-jitter draw from the trap's RNG (none when jitter
+    /// is off), in program order. Every trap test circuit is built here.
+    ///
+    /// `gates` lists `(coupling, θ)` in program order. Phase noise and
+    /// residual bus coupling are not representable in the XX engine.
+    pub fn noisy_xx(&mut self, gates: &[(Coupling, f64)]) -> XxCircuit {
         let mut xx = XxCircuit::new(self.config.n_qubits);
         for &(coupling, theta) in gates {
             let u_static = self.true_under_rotation(coupling);
@@ -332,62 +336,6 @@ impl VirtualTrap {
             xx.add_xx(a, b, theta * (1.0 - u_static - jitter));
         }
         xx
-    }
-
-    /// Executes a pure-XX test circuit on the exact commuting-XX engine
-    /// and returns the number of shots observed on `target`.
-    ///
-    /// Includes deterministic coupling faults, quasi-static per-gate
-    /// amplitude jitter, and SPAM attenuation of the target string; phase
-    /// noise and residual bus coupling are not representable in the XX
-    /// engine (the paper's scaling study suppresses them too, §VII).
-    ///
-    /// `gates` lists `(coupling, θ)` in program order.
-    pub fn run_xx_test(
-        &mut self,
-        gates: &[(Coupling, f64)],
-        target: itqc_sim::BitString,
-        shot_count: usize,
-        activity: Activity,
-    ) -> usize {
-        let xx = self.noisy_xx(gates);
-        let fidelity = xx.fidelity(target);
-        let retention = self.config.spam.retention(target, self.config.n_qubits);
-        let hits = shots::binomial(&mut self.rng, shot_count, fidelity * retention);
-        let dt = self.config.timing.shots(self.config.n_qubits, gates.len(), 0, shot_count);
-        self.clock_seconds += dt;
-        self.duty.record(activity, dt);
-        hits
-    }
-
-    /// Population-scored variant of [`Self::run_xx_test`]: computes every
-    /// support qubit's marginal agreement with `target`, samples each with
-    /// `shot_count` shots, and returns the hit count of the *worst* qubit.
-    ///
-    /// This is the statistic that survives ambient miscalibration at
-    /// 32-qubit class sizes, where the exact-string probability collapses
-    /// (see `itqc_sim::xx::XxCircuit::min_qubit_agreement`). Per-qubit
-    /// samples are drawn independently; correlations between qubit
-    /// readouts shift the minimum statistic only at second order.
-    pub fn run_xx_test_population(
-        &mut self,
-        gates: &[(Coupling, f64)],
-        target: itqc_sim::BitString,
-        shot_count: usize,
-        activity: Activity,
-    ) -> usize {
-        let xx = self.noisy_xx(gates);
-        let spam_keep = 1.0 - (self.config.spam.p01 + self.config.spam.p10) / 2.0;
-        let mut worst = shot_count;
-        for q in xx.support() {
-            let p = xx.qubit_agreement(q, target) * spam_keep;
-            let hits = shots::binomial(&mut self.rng, shot_count, p.clamp(0.0, 1.0));
-            worst = worst.min(hits);
-        }
-        let dt = self.config.timing.shots(self.config.n_qubits, gates.len(), 0, shot_count);
-        self.clock_seconds += dt;
-        self.duty.record(activity, dt);
-        worst
     }
 
     /// Directly monitors every coupling's XX angle with `shot_count` shots
@@ -417,50 +365,6 @@ impl VirtualTrap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::f64::consts::FRAC_PI_2;
-
-    fn four_ms_gates(c: Coupling) -> Vec<(Coupling, f64)> {
-        vec![(c, FRAC_PI_2); 4]
-    }
-
-    #[test]
-    fn ideal_machine_passes_perfect_tests() {
-        let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 1));
-        let c = Coupling::new(0, 4);
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 300, Activity::Testing);
-        assert_eq!(hits, 300);
-    }
-
-    #[test]
-    fn injected_fault_shows_in_xx_test() {
-        let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 2));
-        let c = Coupling::new(0, 4);
-        trap.inject_fault(c, 0.47);
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 300, Activity::Testing);
-        let expect = (std::f64::consts::PI * 0.47).cos().powi(2);
-        let p = hits as f64 / 300.0;
-        assert!((p - expect).abs() < 0.08, "p {p} vs {expect}");
-    }
-
-    #[test]
-    fn dense_and_xx_paths_agree_on_amplitude_faults() {
-        let mut cfg = TrapConfig::ideal(4, 3);
-        cfg.spam = SpamModel::IDEAL;
-        let mut trap = VirtualTrap::new(cfg);
-        let c = Coupling::new(1, 3);
-        trap.inject_fault(c, 0.22);
-        // XX path.
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 4000, Activity::Testing);
-        // Dense path.
-        let mut circuit = Circuit::new(4);
-        for _ in 0..4 {
-            circuit.xx(1, 3, FRAC_PI_2);
-        }
-        let counts = trap.run_circuit(&circuit, 4000, Activity::Testing);
-        let dense_p = *counts.get(&0).unwrap_or(&0) as f64 / 4000.0;
-        let xx_p = hits as f64 / 4000.0;
-        assert!((dense_p - xx_p).abs() < 0.05, "dense {dense_p} vs xx {xx_p}");
-    }
 
     #[test]
     fn recalibration_clears_faults() {
@@ -496,24 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn observe_binomial_matches_run_xx_test_on_same_seed() {
-        // Same seed, same p → the external-executor sampling path draws
-        // the exact shot sequence run_xx_test would have drawn.
-        let c = Coupling::new(0, 1);
-        let mut a = VirtualTrap::new(TrapConfig::ideal(4, 77));
-        a.inject_fault(c, 0.2);
-        let via_test = a.run_xx_test(&four_ms_gates(c), 0, 500, Activity::Testing);
-        let mut b = VirtualTrap::new(TrapConfig::ideal(4, 77));
-        b.inject_fault(c, 0.2);
-        let mut xx = itqc_sim::XxCircuit::new(4);
-        for _ in 0..4 {
-            xx.add_xx(0, 1, FRAC_PI_2 * 0.8);
-        }
-        let p = xx.fidelity(0);
-        assert_eq!(b.observe_binomial(500, p), via_test);
-    }
-
-    #[test]
     fn bill_idle_time_records_without_drift() {
         let mut trap = VirtualTrap::new(TrapConfig::ideal(4, 12));
         trap.bill_idle_time(42.0);
@@ -526,18 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn duty_ledger_tracks_activities() {
-        let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 7));
-        trap.bill_job_time(100.0);
-        let c = Coupling::new(0, 1);
-        let _ = trap.run_xx_test(&four_ms_gates(c), 0, 300, Activity::Testing);
-        trap.bill_adaptation(28);
-        assert!(trap.duty().uptime_fraction() > 0.9);
-        assert!(trap.duty().seconds(Activity::Testing) > 0.0);
-        assert!(trap.duty().seconds(Activity::Adaptation) > 0.0);
-    }
-
-    #[test]
     fn snapshot_recovers_injected_faults() {
         let mut trap = VirtualTrap::new(TrapConfig::ideal(8, 8));
         trap.inject_fault(Coupling::new(3, 4), 0.15);
@@ -546,18 +420,6 @@ mod tests {
             let truth = trap.true_under_rotation(c);
             assert!((u_est - truth).abs() < 0.03, "{c}: {u_est} vs {truth}");
         }
-    }
-
-    #[test]
-    fn spam_attenuates_test_fidelity() {
-        let mut cfg = TrapConfig::ideal(8, 9);
-        cfg.spam = SpamModel::new(0.01, 0.01);
-        let mut trap = VirtualTrap::new(cfg);
-        let c = Coupling::new(0, 1);
-        let hits = trap.run_xx_test(&four_ms_gates(c), 0, 20_000, Activity::Testing);
-        let p = hits as f64 / 20_000.0;
-        let expect = 0.99f64.powi(8);
-        assert!((p - expect).abs() < 0.01, "p {p} vs {expect}");
     }
 
     #[test]
