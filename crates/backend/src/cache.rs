@@ -14,7 +14,6 @@
 use crate::analytic::XxPrepared;
 use itqc_sim::XxCircuit;
 use std::collections::HashMap;
-use std::ops::{Add, AddAssign};
 use std::rc::Rc;
 
 /// Number of prepared circuits held before the cache is flushed. A
@@ -49,10 +48,9 @@ pub fn xx_key(xx: &XxCircuit) -> Vec<u64> {
     key
 }
 
-/// Hit/miss/eviction totals of a prepared-circuit cache — the common
-/// observability currency of every cache layer in the workspace (this
-/// per-backend cache, and the fleet's shared cross-trap cache which
-/// layers over it).
+/// Hit/miss/eviction totals of a prepared-circuit cache, as the fleet's
+/// cache layers report them. The per-backend [`PrepCache`] counts the
+/// same events as `backend.prep_cache.*` metrics instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounters {
     /// Lookups served from the cache.
@@ -73,37 +71,13 @@ impl CacheCounters {
             self.hits as f64 / total as f64
         }
     }
-
-    /// Total lookups observed.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
 }
 
-impl Add for CacheCounters {
-    type Output = CacheCounters;
-
-    fn add(self, rhs: CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits + rhs.hits,
-            misses: self.misses + rhs.misses,
-            evictions: self.evictions + rhs.evictions,
-        }
-    }
-}
-
-impl AddAssign for CacheCounters {
-    fn add_assign(&mut self, rhs: CacheCounters) {
-        *self = *self + rhs;
-    }
-}
-
-/// A bounded map from [`xx_key`] to shared preparations, with hit/miss
-/// counters for observability.
+/// A bounded map from [`xx_key`] to shared preparations. Hits, misses
+/// and evictions are counted as `backend.prep_cache.*` metric events.
 #[derive(Debug, Default)]
 pub struct PrepCache {
     map: HashMap<Vec<u64>, Rc<XxPrepared>>,
-    counters: CacheCounters,
 }
 
 impl PrepCache {
@@ -111,14 +85,12 @@ impl PrepCache {
     pub fn get(&mut self, key: &[u64]) -> Option<Rc<XxPrepared>> {
         match self.map.get(key) {
             Some(hit) => {
-                self.counters.hits += 1;
                 // Per-backend caches live on one thread each, so the
                 // hit/miss split varies with the sharding — nd class.
                 itqc_obs::event::add_nd("backend.prep_cache.hits", 1);
                 Some(Rc::clone(hit))
             }
             None => {
-                self.counters.misses += 1;
                 itqc_obs::event::add_nd("backend.prep_cache.misses", 1);
                 None
             }
@@ -131,21 +103,10 @@ impl PrepCache {
     /// cross-trap layer does true LRU with a byte budget instead).
     pub fn insert(&mut self, key: Vec<u64>, prepared: Rc<XxPrepared>) {
         if self.map.len() >= CACHE_CAPACITY {
-            self.counters.evictions += self.map.len() as u64;
             itqc_obs::event::add_nd("backend.prep_cache.evictions", self.map.len() as u64);
             self.map.clear();
         }
         self.map.insert(key, prepared);
-    }
-
-    /// (hits, misses) since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.counters.hits, self.counters.misses)
-    }
-
-    /// Full hit/miss/eviction counters since construction.
-    pub fn counters(&self) -> CacheCounters {
-        self.counters
     }
 
     /// Number of cached preparations.
@@ -203,19 +164,15 @@ mod tests {
             cache.insert(xx_key(prep.xx()), prep);
             assert!(cache.len() <= CACHE_CAPACITY);
         }
-        assert!(!cache.is_empty());
-        // The flush was recorded as CACHE_CAPACITY evictions.
-        assert_eq!(cache.counters().evictions, CACHE_CAPACITY as u64);
+        // One flush, at the first insert past capacity: the ten inserts
+        // after it are what remains.
+        assert_eq!(cache.len(), 10);
     }
 
     #[test]
-    fn counters_accumulate_and_merge() {
-        let a = CacheCounters { hits: 3, misses: 1, evictions: 0 };
-        let b = CacheCounters { hits: 1, misses: 1, evictions: 2 };
-        let sum = a + b;
-        assert_eq!(sum, CacheCounters { hits: 4, misses: 2, evictions: 2 });
-        assert!((sum.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
-        assert_eq!(sum.lookups(), 6);
+    fn hit_rate_is_hits_over_lookups() {
+        let c = CacheCounters { hits: 4, misses: 2, evictions: 2 };
+        assert!((c.hit_rate() - 4.0 / 6.0).abs() < 1e-12);
         assert_eq!(CacheCounters::default().hit_rate(), 0.0);
     }
 }

@@ -1,5 +1,4 @@
-//! Cross-trial memoisation of exact circuit scores — the scalar end of
-//! the batch-first seam.
+//! Cross-trial memoisation of exact circuit scores.
 //!
 //! The Monte-Carlo sweeps (Table II, Fig. 9) evaluate the *same* noisy
 //! circuit's exact score thousands of times: threshold re-tunes replay

@@ -63,7 +63,8 @@ fn parse_flags() -> (FleetConfig, u64, Option<MetricsSink>) {
             "--rate" => value.parse().map(|v| config.arrival_rate_per_min = v).is_ok(),
             "--service-mean" => value.parse().map(|v| config.service_secs_mean = v).is_ok(),
             "--cache-budget-mb" => {
-                value.parse().map(|v: usize| config.cache_budget_bytes = v << 20).is_ok()
+                let bytes = value.parse::<usize>().ok().and_then(|v| v.checked_mul(1 << 20));
+                bytes.map(|b| config.cache_budget_bytes = b).is_some()
             }
             _ => usage(),
         };

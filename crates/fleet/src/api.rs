@@ -315,7 +315,7 @@ impl Fleet {
             self.stats.diagnoses.add(out.diagnoses);
             self.stats.tests_run.add(out.tests_run);
             self.stats.faults_fixed.add(out.faults_fixed);
-            self.cache.note_misses(out.l2.misses);
+            self.cache.note_misses(out.built.len() as u64);
             for key in &out.touched {
                 self.cache.note_hit(key, tick);
             }

@@ -20,8 +20,10 @@
 //! `status <trap>`, `stats`, `metrics`, `summary`, `help`, `quit`.
 //! A malformed or out-of-range flag prints the usage line and exits 2
 //! (`--traps` ≥ 1, `--qubits` in 2..=20, finite non-negative `--rate`
-//! and `--service-mean`); a malformed command gets a one-line `error:`
-//! reply and the daemon keeps serving.
+//! and `--service-mean`, a `--cache-budget-mb` whose byte count fits a
+//! `usize`); a malformed command gets a one-line `error:` reply and the
+//! daemon keeps serving. One `submit` queues at most
+//! [`MAX_SUBMIT_COUNT`] jobs.
 //!
 //! `metrics` prints the deterministic counter snapshot — the fleet
 //! registry's cache/scheduler counters merged with the ambient backend
@@ -61,7 +63,8 @@ fn parse_flags() -> (FleetConfig, u64) {
             "--rate" => value.parse().map(|v| config.arrival_rate_per_min = v).is_ok(),
             "--service-mean" => value.parse().map(|v| config.service_secs_mean = v).is_ok(),
             "--cache-budget-mb" => {
-                value.parse().map(|v: usize| config.cache_budget_bytes = v << 20).is_ok()
+                let bytes = value.parse::<usize>().ok().and_then(|v| v.checked_mul(1 << 20));
+                bytes.map(|b| config.cache_budget_bytes = b).is_some()
             }
             "--minutes" => value.parse().map(|v| minutes = v).is_ok(),
             _ => usage(),
@@ -82,6 +85,11 @@ fn parse_flags() -> (FleetConfig, u64) {
     (config, minutes)
 }
 
+/// Most jobs one `submit` command may queue. One trap's nominal day is
+/// about 5,760 jobs; without a cap a single line could ask the daemon
+/// to allocate without bound.
+const MAX_SUBMIT_COUNT: usize = 100_000;
+
 /// Parses the arguments of `submit <trap> <service_s> [count]`. The
 /// service time must be finite and positive: the duty ledger refuses
 /// anything else when the job runs, which would take a shard down.
@@ -101,6 +109,9 @@ fn parse_submit<'a>(
     }
     if !(service.is_finite() && service > 0.0) {
         return Err(format!("service time {service} must be a positive number of seconds"));
+    }
+    if count > MAX_SUBMIT_COUNT {
+        return Err(format!("count {count} exceeds the per-command limit of {MAX_SUBMIT_COUNT}"));
     }
     Ok((trap, service, count))
 }

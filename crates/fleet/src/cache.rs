@@ -38,8 +38,8 @@ pub struct CacheSnapshot {
 }
 
 impl CacheSnapshot {
-    /// Looks up a preparation without touching any counters (the caller
-    /// records the outcome in its own [`CacheCounters`]).
+    /// Looks up a preparation without touching any counters (a hit is
+    /// logged by the trap's [`TrapCache`] and counted at the barrier).
     pub fn get(&self, key: &[u64]) -> Option<Arc<XxPrepared>> {
         self.map.get(key).cloned()
     }
@@ -126,23 +126,6 @@ impl SharedPrepCache {
         self.entries.contains_key(key)
     }
 
-    /// Counted lookup on the scheduler thread: a hit refreshes the LRU
-    /// stamp, a miss only increments the miss counter (the caller is
-    /// expected to build and [`Self::admit`]).
-    pub fn lookup(&mut self, key: &[u64], tick: u64) -> Option<Arc<XxPrepared>> {
-        match self.entries.get_mut(key) {
-            Some(e) => {
-                self.hits.incr();
-                e.last_used_tick = tick;
-                Some(Arc::clone(&e.prep))
-            }
-            None => {
-                self.misses.incr();
-                None
-            }
-        }
-    }
-
     /// Records a hit served by a snapshot or by a just-built batch entry
     /// without re-reading the map (the worker already has the value).
     /// Refreshes the LRU stamp when the key is resident.
@@ -166,9 +149,9 @@ impl SharedPrepCache {
     }
 
     /// Admits a freshly built preparation (no counter change — the miss
-    /// was counted at lookup time). If the key is already resident (two
-    /// shards built it independently within one tick) the first copy
-    /// wins and the stamp is refreshed.
+    /// is counted by [`Self::note_misses`]). If the key is already
+    /// resident (two shards built it independently within one tick) the
+    /// first copy wins and the stamp is refreshed.
     pub fn admit(&mut self, key: PrepKey, prep: Arc<XxPrepared>, tick: u64) {
         if let Some(e) = self.entries.get_mut(&key) {
             e.last_used_tick = tick;
@@ -260,9 +243,15 @@ impl SharedPrepCache {
 /// it captures exactly the intra-tick reuse (a diagnosis replaying its
 /// rung batteries) and nothing else. Per-trap ownership keeps its
 /// counters identical under any shard partition.
+///
+/// It also logs, in execution order, what the tick asked of the shared
+/// L2: preparations built on a double miss (admitted at the barrier)
+/// and keys served by the L2 snapshot (LRU-refreshed at the barrier).
 #[derive(Debug, Default)]
 pub struct TrapCache {
     map: HashMap<PrepKey, Arc<XxPrepared>>,
+    built: Vec<(PrepKey, Arc<XxPrepared>)>,
+    touched: Vec<PrepKey>,
     hits: Counter,
     misses: Counter,
 }
@@ -274,13 +263,16 @@ impl TrapCache {
     /// deterministic work, and atomic sums commute, so the shared
     /// totals are identical at any worker count.
     pub fn with_counters(hits: Counter, misses: Counter) -> Self {
-        TrapCache { map: HashMap::new(), hits, misses }
+        TrapCache { hits, misses, ..TrapCache::default() }
     }
 
-    /// Drops the previous tick's working set (not counted as eviction —
-    /// retiring a working set is scope exit, not budget pressure).
+    /// Drops the previous tick's working set and L2 logs (not counted
+    /// as eviction — retiring a working set is scope exit, not budget
+    /// pressure).
     pub fn begin_tick(&mut self) {
         self.map.clear();
+        self.built.clear();
+        self.touched.clear();
     }
 
     /// Counted lookup.
@@ -297,9 +289,23 @@ impl TrapCache {
         }
     }
 
-    /// Stores a preparation for the rest of the tick.
-    pub fn insert(&mut self, key: PrepKey, prep: Arc<XxPrepared>) {
+    /// Stores a preparation served by the L2 snapshot for the rest of
+    /// the tick, logging its key for the barrier's LRU refresh.
+    pub fn insert_l2_hit(&mut self, key: PrepKey, prep: Arc<XxPrepared>) {
+        self.touched.push(key.clone());
         self.map.insert(key, prep);
+    }
+
+    /// Stores a preparation built on an L1+L2 double miss for the rest
+    /// of the tick, logging it for admission at the barrier.
+    pub fn insert_built(&mut self, key: PrepKey, prep: Arc<XxPrepared>) {
+        self.built.push((key.clone(), Arc::clone(&prep)));
+        self.map.insert(key, prep);
+    }
+
+    /// Takes this tick's logs: `(built, touched)` in execution order.
+    pub fn take_l2_logs(&mut self) -> (Vec<(PrepKey, Arc<XxPrepared>)>, Vec<PrepKey>) {
+        (std::mem::take(&mut self.built), std::mem::take(&mut self.touched))
     }
 
     /// Hit/miss totals recorded through this cache's handles
@@ -343,8 +349,8 @@ mod tests {
         let (k1, p1) = prep(0.2);
         cache.admit(k1.clone(), p1, 1);
         assert_eq!(cache.end_tick(1), 0);
-        // Touch k0 at tick 2 so k1 becomes the LRU victim.
-        assert!(cache.lookup(&k0, 2).is_some());
+        // Hit k0 at tick 2 so k1 becomes the LRU victim.
+        cache.note_hit(&k0, 2);
         let (k2, p2) = prep(0.3);
         cache.admit(k2.clone(), p2, 2);
         let evicted = cache.end_tick(2);
@@ -376,7 +382,7 @@ mod tests {
     fn snapshot_is_immutable_and_counters_split_by_layer() {
         let (k0, p0) = prep(0.6);
         let mut cache = SharedPrepCache::new(usize::MAX);
-        assert!(cache.lookup(&k0, 0).is_none());
+        cache.note_misses(1);
         cache.admit(k0.clone(), p0.clone(), 0);
         cache.end_tick(0);
         let snap = cache.snapshot();
@@ -390,13 +396,15 @@ mod tests {
         cache.note_misses(2);
         let c = cache.counters();
         assert_eq!((c.hits, c.misses), (1, 3));
-        // L1 is tick-scoped.
+        // L1 is tick-scoped, and so are its L2 logs.
         let mut l1 = TrapCache::default();
         assert!(l1.get(&k0).is_none());
-        l1.insert(k0.clone(), p0);
+        l1.insert_l2_hit(k0.clone(), p0);
         assert!(l1.get(&k0).is_some());
         l1.begin_tick();
         assert!(l1.get(&k0).is_none());
+        let (built, touched) = l1.take_l2_logs();
+        assert!(built.is_empty() && touched.is_empty());
         let lc = l1.counters();
         assert_eq!((lc.hits, lc.misses, lc.evictions), (1, 2, 0));
     }
@@ -416,7 +424,7 @@ mod tests {
         cache.admit(k_pos.clone(), p_pos, 0);
         cache.admit(k_neg, p_neg, 0);
         assert_eq!(cache.len(), 1, "one entry for both zero spellings");
-        assert!(cache.lookup(&k_pos, 1).is_some());
+        assert!(cache.contains(&k_pos));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! per-shot jitter would make the circuit — and hence the cache key —
 //! change under the executor's feet.
 
-use crate::cache::{CacheSnapshot, PrepKey, TrapCache};
+use crate::cache::{CacheSnapshot, TrapCache};
 use itqc_backend::cache::xx_key;
-use itqc_backend::{CacheCounters, XxPrepared};
+use itqc_backend::XxPrepared;
 use itqc_core::executor::score_on_trap;
 use itqc_core::{TestExecutor, TestSpec};
 use itqc_trap::VirtualTrap;
@@ -34,30 +34,16 @@ pub struct CachedTrapExecutor<'a> {
     trap: &'a mut VirtualTrap,
     l1: &'a mut TrapCache,
     l2: &'a CacheSnapshot,
-    /// Preparations built on a double miss, logged for barrier admission.
-    built: &'a mut Vec<(PrepKey, Arc<XxPrepared>)>,
-    /// Keys hit in the L2 snapshot (LRU refresh at the barrier).
-    touched: &'a mut Vec<PrepKey>,
-    /// L2 hit/miss outcomes observed against the snapshot.
-    l2_counters: &'a mut CacheCounters,
 }
 
 impl<'a> CachedTrapExecutor<'a> {
     /// Wires an executor over one trap's tick state.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        trap: &'a mut VirtualTrap,
-        l1: &'a mut TrapCache,
-        l2: &'a CacheSnapshot,
-        built: &'a mut Vec<(PrepKey, Arc<XxPrepared>)>,
-        touched: &'a mut Vec<PrepKey>,
-        l2_counters: &'a mut CacheCounters,
-    ) -> Self {
+    pub fn new(trap: &'a mut VirtualTrap, l1: &'a mut TrapCache, l2: &'a CacheSnapshot) -> Self {
         debug_assert!(
             trap.config().amplitude_jitter_std == 0.0,
             "cached execution needs quasi-static noise (no per-shot jitter)"
         );
-        CachedTrapExecutor { trap, l1, l2, built, touched, l2_counters }
+        CachedTrapExecutor { trap, l1, l2 }
     }
 
     /// Resolves the prepared circuit for `spec` under the trap's current
@@ -69,16 +55,12 @@ impl<'a> CachedTrapExecutor<'a> {
             return p;
         }
         if let Some(p) = self.l2.get(&key) {
-            self.l2_counters.hits += 1;
-            self.touched.push(key.clone());
-            self.l1.insert(key, Arc::clone(&p));
+            self.l1.insert_l2_hit(key, Arc::clone(&p));
             return p;
         }
-        self.l2_counters.misses += 1;
         let prep = Arc::new(XxPrepared::prepare(xx).expect("fleet test circuits are commuting-XX"));
         prep.distributions(); // materialize before sharing
-        self.l1.insert(key.clone(), Arc::clone(&prep));
-        self.built.push((key, Arc::clone(&prep)));
+        self.l1.insert_built(key, Arc::clone(&prep));
         prep
     }
 }
@@ -108,28 +90,6 @@ mod tests {
     use itqc_core::testplan::ScoreMode;
     use itqc_trap::{Activity, TrapConfig};
 
-    #[allow(clippy::type_complexity)]
-    fn harness(
-        seed: u64,
-    ) -> (
-        VirtualTrap,
-        TrapCache,
-        CacheSnapshot,
-        Vec<(PrepKey, Arc<XxPrepared>)>,
-        Vec<PrepKey>,
-        CacheCounters,
-    ) {
-        let trap = VirtualTrap::new(TrapConfig::ideal(6, seed));
-        (
-            trap,
-            TrapCache::default(),
-            CacheSnapshot::default(),
-            Vec::new(),
-            Vec::new(),
-            CacheCounters::default(),
-        )
-    }
-
     #[test]
     fn cached_executor_matches_direct_trap_execution() {
         // Same seed → the cached path must reproduce the trap's own
@@ -156,11 +116,11 @@ mod tests {
         direct.inject_fault(Coupling::new(4, 5), -0.13);
         let d: Vec<f64> = specs.iter().map(|(spec, shots)| direct.run_test(spec, *shots)).collect();
 
-        let (mut trap, mut l1, l2, mut built, mut touched, mut c) = harness(4242);
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(6, 4242));
         trap.inject_fault(Coupling::new(0, 3), 0.21);
         trap.inject_fault(Coupling::new(4, 5), -0.13);
-        let mut exec =
-            CachedTrapExecutor::new(&mut trap, &mut l1, &l2, &mut built, &mut touched, &mut c);
+        let (mut l1, l2) = (TrapCache::default(), CacheSnapshot::default());
+        let mut exec = CachedTrapExecutor::new(&mut trap, &mut l1, &l2);
         for ((spec, shots), d) in specs.iter().zip(d) {
             assert_eq!(d.to_bits(), exec.run_test(spec, *shots).to_bits(), "{spec}");
         }
@@ -169,8 +129,8 @@ mod tests {
             trap.duty().seconds(Activity::Testing).to_bits(),
             "billing must match the uncached path"
         );
-        // Every circuit was cold: one L2 miss and one logged build each.
-        assert_eq!((c.hits, c.misses), (0, 3));
+        // Every circuit was cold: one logged build each, no L2 hit.
+        let (built, touched) = l1.take_l2_logs();
         assert_eq!(built.len(), 3);
         assert!(touched.is_empty());
     }
@@ -178,30 +138,30 @@ mod tests {
     #[test]
     fn repeat_tests_hit_l1_and_warm_snapshots_hit_l2() {
         let spec = TestSpec::for_couplings("t", &[Coupling::new(0, 1)], 2);
-        let (mut trap, mut l1, l2, mut built, mut touched, mut c) = harness(7);
+        let mut trap = VirtualTrap::new(TrapConfig::ideal(6, 7));
+        let (mut l1, l2) = (TrapCache::default(), CacheSnapshot::default());
         {
-            let mut exec =
-                CachedTrapExecutor::new(&mut trap, &mut l1, &l2, &mut built, &mut touched, &mut c);
+            let mut exec = CachedTrapExecutor::new(&mut trap, &mut l1, &l2);
             let _ = exec.run_test(&spec, 10);
             let _ = exec.run_test(&spec, 10); // replay within the tick: L1
         }
-        assert_eq!((c.hits, c.misses), (0, 1), "replay is absorbed by L1");
+        let (built, touched) = l1.take_l2_logs();
+        assert_eq!((built.len(), touched.len()), (1, 0), "replay is absorbed by L1");
         let l1c = l1.counters();
         assert_eq!((l1c.hits, l1c.misses), (1, 1));
 
         // Promote the build into a shared cache and re-run on a fresh tick.
         let mut shared = crate::cache::SharedPrepCache::new(usize::MAX);
-        for (k, p) in built.drain(..) {
+        for (k, p) in built {
             shared.admit(k, p, 0);
         }
         shared.end_tick(0);
         let snap = shared.snapshot();
         l1.begin_tick();
-        let mut exec =
-            CachedTrapExecutor::new(&mut trap, &mut l1, &snap, &mut built, &mut touched, &mut c);
+        let mut exec = CachedTrapExecutor::new(&mut trap, &mut l1, &snap);
         let _ = exec.run_test(&spec, 10);
-        assert_eq!((c.hits, c.misses), (1, 1), "next tick is an L2 snapshot hit");
-        assert_eq!(touched.len(), 1, "the hit is logged for LRU refresh");
+        let (built, touched) = l1.take_l2_logs();
+        assert_eq!(touched.len(), 1, "next tick is an L2 snapshot hit, logged for LRU refresh");
         assert!(built.is_empty());
     }
 }

@@ -25,7 +25,7 @@ use crate::cache::{CacheSnapshot, PrepKey, TrapCache};
 use crate::exec::CachedTrapExecutor;
 use crate::queue::{WorkKind, WorkQueue, PRIO_CANARY, PRIO_DIAGNOSE, PRIO_JOB};
 use itqc_backend::cache::xx_key;
-use itqc_backend::{CacheCounters, XxPrepared};
+use itqc_backend::XxPrepared;
 use itqc_circuit::Coupling;
 use itqc_core::testplan::canary_for;
 use itqc_core::{diagnose_all, MultiFaultConfig, TestExecutor, TestSpec};
@@ -92,8 +92,6 @@ pub struct TrapTickOut {
     pub built: Vec<(PrepKey, Arc<XxPrepared>)>,
     /// Keys hit in the L2 snapshot (for LRU refresh).
     pub touched: Vec<PrepKey>,
-    /// L2 hit/miss outcomes observed against the snapshot.
-    pub l2: CacheCounters,
     /// Canary tests run.
     pub canaries: u64,
     /// Canaries that tripped.
@@ -278,17 +276,8 @@ impl TrapState {
             match item.kind {
                 WorkKind::Canary => {
                     out.canaries += 1;
-                    let score = {
-                        let mut exec = CachedTrapExecutor::new(
-                            &mut self.trap,
-                            &mut self.l1,
-                            snap,
-                            &mut out.built,
-                            &mut out.touched,
-                            &mut out.l2,
-                        );
-                        exec.run_test(&self.canary_spec, self.params.diag.canary_shots)
-                    };
+                    let score = CachedTrapExecutor::new(&mut self.trap, &mut self.l1, snap)
+                        .run_test(&self.canary_spec, self.params.diag.canary_shots);
                     self.last_canary = score;
                     if score < self.params.diag.canary_threshold {
                         out.trips += 1;
@@ -298,17 +287,8 @@ impl TrapState {
                 }
                 WorkKind::Diagnose => {
                     out.diagnoses += 1;
-                    let report = {
-                        let mut exec = CachedTrapExecutor::new(
-                            &mut self.trap,
-                            &mut self.l1,
-                            snap,
-                            &mut out.built,
-                            &mut out.touched,
-                            &mut out.l2,
-                        );
-                        diagnose_all(&mut exec, self.params.n_qubits, &self.params.diag)
-                    };
+                    let mut exec = CachedTrapExecutor::new(&mut self.trap, &mut self.l1, snap);
+                    let report = diagnose_all(&mut exec, self.params.n_qubits, &self.params.diag);
                     out.tests_run += report.tests_run as u64;
                     for fault in &report.diagnosed {
                         self.trap.recalibrate(fault.coupling);
@@ -333,6 +313,7 @@ impl TrapState {
         if now < minute_end {
             self.trap.bill_idle_time(minute_end - now);
         }
+        (out.built, out.touched) = self.l1.take_l2_logs();
         out
     }
 

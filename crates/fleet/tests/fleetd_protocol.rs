@@ -23,7 +23,7 @@ fn bad_service_times_are_refused_and_the_daemon_keeps_serving() {
     let out = fleetd(
         &["--traps=4", "--workers=2"],
         "submit 3 nan 4\nsubmit 3 -5 4\nsubmit 3 inf 4\nsubmit 3 0 1\nsubmit 3 5 x\n\
-         submit 3 5.0 2\nrun 5\nquit\n",
+         submit 3 5 99999999999\nsubmit 3 5 100001\nsubmit 3 5.0 2\nrun 5\nquit\n",
     );
     assert!(
         out.status.success(),
@@ -33,19 +33,30 @@ fn bad_service_times_are_refused_and_the_daemon_keeps_serving() {
     );
     let stdout = String::from_utf8(out.stdout).expect("utf-8");
     let lines: Vec<&str> = stdout.lines().collect();
-    assert_eq!(lines.len(), 7, "one reply line per command before quit:\n{stdout}");
+    assert_eq!(lines.len(), 9, "one reply line per command before quit:\n{stdout}");
     for (line, what) in lines[..3].iter().zip(["NaN", "-5", "inf"]) {
         assert!(line.starts_with("error: service time "), "{what}: {line}");
     }
     assert!(lines[3].starts_with("error: service time 0 "), "{}", lines[3]);
     assert_eq!(lines[4], "error: submit <trap> <service_s> [count]");
-    assert_eq!(lines[5], "ok queued 2 job(s) on trap 3");
-    assert!(lines[6].starts_with("ok ran 5 minutes"), "{}", lines[6]);
+    // A count above the cap would otherwise queue jobs without bound.
+    assert_eq!(lines[5], "error: count 99999999999 exceeds the per-command limit of 100000");
+    assert_eq!(lines[6], "error: count 100001 exceeds the per-command limit of 100000");
+    assert_eq!(lines[7], "ok queued 2 job(s) on trap 3");
+    assert!(lines[8].starts_with("ok ran 5 minutes"), "{}", lines[8]);
 }
 
 #[test]
 fn bad_flags_print_usage_instead_of_panicking() {
-    for flag in ["--traps=0", "--qubits=1", "--qubits=40", "--service-mean=nan", "--rate=-1"] {
+    // 2^44 MiB is 2^64 bytes: the budget would wrap to 0 if unchecked.
+    for flag in [
+        "--traps=0",
+        "--qubits=1",
+        "--qubits=40",
+        "--service-mean=nan",
+        "--rate=-1",
+        "--cache-budget-mb=17592186044416",
+    ] {
         let out = fleetd(&[flag], "run 1\nquit\n");
         assert_eq!(out.status.code(), Some(2), "{flag}");
         let stderr = String::from_utf8(out.stderr).expect("utf-8");
